@@ -45,6 +45,7 @@ endpoint.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import json
 import sys
@@ -52,41 +53,28 @@ from typing import Dict, Optional, Sequence
 
 from repro.detection.banks import FAMILIES, PLANES
 from repro.engine.config import BACKENDS
-from repro.online.service import VALIDATION_MODES
-
-from repro.experiments import (
-    ablation_locality,
-    ablation_malicious,
-    ablation_sampling,
-    ablation_tessellation,
-    ablation_theorem7,
-    figure6a,
-    figure6b,
-    figure7,
-    figure8,
-    figure9,
-    table2,
-    table3,
-)
 from repro.io.records import ExperimentResult
 from repro.io.render import render_series, render_table
+from repro.online.service import VALIDATION_MODES
 
 __all__ = ["main", "EXPERIMENTS"]
 
-#: experiment name -> (module, chart spec or None)
+#: experiment name -> (module under ``repro.experiments``, chart spec or
+#: None).  Modules are imported only by ``run`` and ``list``: the
+#: experiment harness pulls in scipy, which ``serve``/``replay`` never need.
 EXPERIMENTS: Dict[str, tuple] = {
-    "figure6a": (figure6a, ("m", "cdf", "r")),
-    "figure6b": (figure6b, ("n", "containment", "tau")),
-    "table2": (table2, None),
-    "table3": (table3, None),
-    "figure7": (figure7, ("A", "unresolved_ratio_percent", "G")),
-    "figure8": (figure8, ("A", "missed_detection_percent", "G")),
-    "figure9": (figure9, ("A", "unresolved_ratio_percent", "G")),
-    "ablation-malicious": (ablation_malicious, None),
-    "ablation-sampling": (ablation_sampling, None),
-    "ablation-tessellation": (ablation_tessellation, None),
-    "ablation-theorem7": (ablation_theorem7, None),
-    "ablation-locality": (ablation_locality, None),
+    "figure6a": ("figure6a", ("m", "cdf", "r")),
+    "figure6b": ("figure6b", ("n", "containment", "tau")),
+    "table2": ("table2", None),
+    "table3": ("table3", None),
+    "figure7": ("figure7", ("A", "unresolved_ratio_percent", "G")),
+    "figure8": ("figure8", ("A", "missed_detection_percent", "G")),
+    "figure9": ("figure9", ("A", "unresolved_ratio_percent", "G")),
+    "ablation-malicious": ("ablation_malicious", None),
+    "ablation-sampling": ("ablation_sampling", None),
+    "ablation-tessellation": ("ablation_tessellation", None),
+    "ablation-theorem7": ("ablation_theorem7", None),
+    "ablation-locality": ("ablation_locality", None),
 }
 
 #: which experiments accept the scale overrides
@@ -924,6 +912,10 @@ def _run_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _experiment_module(name: str):
+    return importlib.import_module(f"repro.experiments.{EXPERIMENTS[name][0]}")
+
+
 def _run_one(
     name: str,
     steps: Optional[int],
@@ -931,7 +923,7 @@ def _run_one(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> ExperimentResult:
-    module, _ = EXPERIMENTS[name]
+    module = _experiment_module(name)
     kwargs = {}
     if name in _SCALED:
         if steps is not None:
@@ -957,8 +949,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_metrics(args)
     if args.command == "list":
         for name in sorted(EXPERIMENTS):
-            module, _ = EXPERIMENTS[name]
-            doc = (module.__doc__ or "").strip().splitlines()[0]
+            doc = (_experiment_module(name).__doc__ or "").strip().splitlines()[0]
             print(f"{name:<24} {doc}")
         return 0
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -72,6 +72,7 @@ from repro.ipc import (
     WorkerHandle,
     reap_worker,
     shutdown_worker,
+    signal_worker_shutdown,
     unlink_by_name,
 )
 from repro.obs.trace import Tracer
@@ -84,6 +85,7 @@ from repro.online.store import (
 
 __all__ = [
     "handle_command",
+    "start_process_shards",
     "_FrameBoard",
     "_InlineShardHandle",
     "_ProcessShardHandle",
@@ -427,38 +429,46 @@ def _shard_child_main(
     cfg = _serial_config(config)
     factory = shm_planes_factory()
     tracer = Tracer(enabled=trace_enabled)
-    if init[0] == "fresh":
-        _, positions, ids = init
-        worker = _ShardWorker(
-            shard,
-            positions,
-            ids,
-            dim,
-            cfg,
-            tracer,
-            planes_factory=factory,
-            defer_advance=True,
+    try:
+        if init[0] == "fresh":
+            _, positions, ids = init
+            worker = _ShardWorker(
+                shard,
+                positions,
+                ids,
+                dim,
+                cfg,
+                tracer,
+                planes_factory=factory,
+                defer_advance=True,
+            )
+        else:
+            _, plane_name, capacity = init
+            planes = attach_store_planes(plane_name, capacity, dim)
+            store = DeviceStateStore.adopt_planes(
+                planes,
+                cell=cfg.cell,
+                shards=cfg.shards,
+                planes_factory=factory,
+            )
+            worker = _ShardWorker(
+                shard,
+                None,
+                None,
+                dim,
+                cfg,
+                tracer,
+                store=store,
+                defer_advance=True,
+            )
+            _mark_recovered(worker)
+    except Exception as exc:
+        # Report instead of dying silently: the parent raises the
+        # failure, with this traceback, from its ready handshake.
+        conn.send(
+            (False, None, 0, 0, (type(exc).__name__, traceback.format_exc()))
         )
-    else:
-        _, plane_name, capacity = init
-        planes = attach_store_planes(plane_name, capacity, dim)
-        store = DeviceStateStore.adopt_planes(
-            planes,
-            cell=cfg.cell,
-            shards=cfg.shards,
-            planes_factory=factory,
-        )
-        worker = _ShardWorker(
-            shard,
-            None,
-            None,
-            dim,
-            cfg,
-            tracer,
-            store=store,
-            defer_advance=True,
-        )
-        _mark_recovered(worker)
+        return
     halo_reader = SegmentReader()
     board_reader = SegmentReader()
     try:
@@ -519,6 +529,33 @@ def _shard_child_main(
         board_reader.close()
 
 
+def start_process_shards(
+    config, dim, shard_map, partitions, trace_enabled
+) -> List["_ProcessShardHandle"]:
+    """Fork one child per ``(positions, ids)`` partition, then await all.
+
+    Every child is forked before any ready reply is awaited, so the
+    children build their store partitions at the same time.  If any
+    child fails to start, every child already forked is stopped and its
+    segments unlinked before the error propagates.
+    """
+    handles: List[_ProcessShardHandle] = []
+    try:
+        for shard, (positions, ids) in enumerate(partitions):
+            handles.append(
+                _ProcessShardHandle(
+                    shard, config, dim, shard_map, positions, ids, trace_enabled
+                )
+            )
+        for handle in handles:
+            handle.await_ready()
+    except BaseException:
+        for handle in handles:
+            handle.abort()
+        raise
+    return handles
+
+
 class _ProcessShardHandle:
     """Parent-side handle over one shard process: pipe, planes, respawn.
 
@@ -528,6 +565,10 @@ class _ProcessShardHandle:
     names (unlinked by the parent after a kill — a killed child never
     cleans up), and the last *canonical* command (resent verbatim on
     retry; chaos decorations are never remembered).
+
+    Construction forks the child without waiting for it; call
+    :meth:`await_ready` (or use :func:`start_process_shards`) before the
+    first command.
     """
 
     def __init__(
@@ -546,7 +587,7 @@ class _ProcessShardHandle:
         self.respawns = 0
         self.last_msg: Optional[tuple] = None
         self.worker: Optional[WorkerHandle] = None
-        self._spawn(
+        self._start(
             (
                 "fresh",
                 np.ascontiguousarray(positions, dtype=np.float64),
@@ -554,7 +595,7 @@ class _ProcessShardHandle:
             )
         )
 
-    def _spawn(self, init) -> None:
+    def _start(self, init) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_child_main,
@@ -573,6 +614,9 @@ class _ProcessShardHandle:
         proc.start()
         child_conn.close()
         self.worker = WorkerHandle(process=proc, conn=parent_conn)
+
+    def await_ready(self) -> None:
+        """Block on the child's post-fork ``"ready"`` handshake."""
         ok, name, capacity, n, payload = self.recv(_READY_DEADLINE)
         if not ok or payload != "ready":
             raise ConfigurationError(
@@ -633,7 +677,8 @@ class _ProcessShardHandle:
         """Kill and relaunch a child that adopts the surviving planes."""
         orphans = self.kill()
         self.respawns += 1
-        self._spawn(("adopt", self.plane_name, self.plane_capacity))
+        self._start(("adopt", self.plane_name, self.plane_capacity))
+        self.await_ready()
         return orphans
 
     def shutdown(self) -> None:
@@ -643,6 +688,18 @@ class _ProcessShardHandle:
             if name:
                 unlink_by_name(name)
         self.ring_names = ()
+
+    def abort(self) -> None:
+        """Stop a child that may still be building its partition.
+
+        The sentinel queues behind construction: a child that is still
+        building answers ready, reads the sentinel and unlinks its own
+        planes — whose name the parent may never have learned — so it
+        gets the whole ready deadline to exit before it is terminated.
+        """
+        signal_worker_shutdown(self.worker)
+        self.worker.process.join(_READY_DEADLINE)
+        self.shutdown()
 
 
 class _InlineShardHandle:

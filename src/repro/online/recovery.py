@@ -48,7 +48,7 @@ from repro.online.service import (
     QosUpdate,
     ServiceConfig,
 )
-from repro.online.store import NO_VERDICT, DeviceStateStore
+from repro.online.store import NO_VERDICT, SHARD_HASH, DeviceStateStore
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -89,6 +89,22 @@ def _pack(obj: object) -> np.ndarray:
 
 def _unpack(arr: np.ndarray) -> object:
     return pickle.loads(np.asarray(arr, dtype=np.uint8).tobytes())
+
+
+def _check_placement(path: Path, store_state: Dict[str, np.ndarray]) -> None:
+    """Refuse store state placed under any cell→shard hash but ours.
+
+    Checkpoints written before the stable hash carry no marker, and the
+    retired ``"legacy"`` tuple hash placed devices differently; restoring
+    either would silently move devices between store shards.
+    """
+    marker = store_state.get("shard_hash")
+    found = "none" if marker is None else str(marker)
+    if found != SHARD_HASH:
+        raise CheckpointError(
+            f"checkpoint {path} places store shards with the {found!r} "
+            f"cell hash; this build reads only {SHARD_HASH!r}"
+        )
 
 
 @dataclass
@@ -193,6 +209,7 @@ def load_checkpoint(path: _PathLike) -> Checkpoint:
         for key, value in arrays.items()
         if key.startswith("store_")
     }
+    _check_placement(path, store_state)
     tracker_state = {
         key[len("tracker_") :]: value
         for key, value in arrays.items()
@@ -240,17 +257,9 @@ def restore_service(
     )
     cfg = config or ckpt.config
     store = DeviceStateStore.from_state(ckpt.store_state)
-    # The constructor wants initial positions; hand it the restored
-    # current plane (scrubbed free rows are 0.0, safely in-cube) and
-    # then swap the real store in underneath.
-    service = OnlineCharacterizationService(
-        store.current_positions(copy=True),
-        cfg,
-        engine=engine,
-        sinks=sinks,
-        tracer=tracer,
+    service = OnlineCharacterizationService._from_store(
+        store, cfg, engine=engine, sinks=sinks, tracer=tracer
     )
-    service._store = store
     service._tracker.restore_state(ckpt.tracker_state)
     service._bank = ckpt.bank
     service._last_detection = ckpt.last_detection
@@ -555,14 +564,16 @@ def load_sharded_checkpoint(manifest_path: _PathLike) -> ShardedCheckpoint:
                 f"shard part {part_path} is from tick {meta['tick']}, "
                 f"manifest says {tick} — not a consistent cut"
             )
+        store_state = {
+            key[len("store_") :]: value
+            for key, value in arrays.items()
+            if key.startswith("store_")
+        }
+        _check_placement(part_path, store_state)
         shards.append(
             _ShardPart(
                 shard=int(meta["shard"]),
-                store_state={
-                    key[len("store_") :]: value
-                    for key, value in arrays.items()
-                    if key.startswith("store_")
-                },
+                store_state=store_state,
                 tracker_state={
                     key[len("tracker_") :]: value
                     for key, value in arrays.items()

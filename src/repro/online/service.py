@@ -509,7 +509,53 @@ class OnlineCharacterizationService:
         detection: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self._config = config or ServiceConfig()
+        cfg = config or ServiceConfig()
+        self._setup(
+            DeviceStateStore(initial_positions, cell=cfg.cell, shards=cfg.shards),
+            cfg,
+            engine=engine,
+            sinks=sinks,
+            tracer=tracer,
+        )
+        if detector is not None:
+            self._bank = as_bank(
+                detector, self._store.n, self._store.dim, plane=detection
+            )
+            # Warm-up step 0: the initial snapshot is the bank's first
+            # observation, exactly like the trace replayers' step 0.
+            self._last_detection = self._bank.observe_batch(
+                np.asarray(initial_positions, dtype=float)
+            )
+        elif detection is not None:
+            raise ConfigurationError(
+                "detection plane given without a detector spec or bank"
+            )
+
+    @classmethod
+    def _from_store(
+        cls,
+        store: DeviceStateStore,
+        config: ServiceConfig,
+        *,
+        engine: Optional[CharacterizationEngine] = None,
+        sinks: Iterable[Callable[["OnlineTick"], None]] = (),
+        tracer: Optional[Tracer] = None,
+    ) -> "OnlineCharacterizationService":
+        """A service around an already-built store (the restore path)."""
+        service = cls.__new__(cls)
+        service._setup(store, config, engine=engine, sinks=sinks, tracer=tracer)
+        return service
+
+    def _setup(
+        self,
+        store: DeviceStateStore,
+        config: ServiceConfig,
+        *,
+        engine: Optional[CharacterizationEngine],
+        sinks: Iterable[Callable[["OnlineTick"], None]],
+        tracer: Optional[Tracer],
+    ) -> None:
+        self._config = config
         self._tracer = tracer if tracer is not None else Tracer()
         registry = self._tracer.registry
         self._gauge_queue_depth = registry.gauge(
@@ -524,9 +570,7 @@ class OnlineCharacterizationService:
             "Devices flagged at the latest tick",
         )
         cfg = self._config
-        self._store = DeviceStateStore(
-            initial_positions, cell=cfg.cell, shards=cfg.shards
-        )
+        self._store = store
         self._tracker = DirtyRegionTracker(
             cell=cfg.cell,
             influence_radius=4.0 * cfg.r,
@@ -543,19 +587,6 @@ class OnlineCharacterizationService:
         )
         self._bank: Optional[DetectorBank] = None
         self._last_detection: Optional[BankDetection] = None
-        if detector is not None:
-            self._bank = as_bank(
-                detector, self._store.n, self._store.dim, plane=detection
-            )
-            # Warm-up step 0: the initial snapshot is the bank's first
-            # observation, exactly like the trace replayers' step 0.
-            self._last_detection = self._bank.observe_batch(
-                np.asarray(initial_positions, dtype=float)
-            )
-        elif detection is not None:
-            raise ConfigurationError(
-                "detection plane given without a detector spec or bank"
-            )
         self._queue: Deque[QosUpdate] = deque()
         # Updates applied since the last end_tick — includes inline
         # drains forced by "block" backpressure, so per-tick accounting

@@ -112,10 +112,10 @@ from repro.online.procshard import (
     _CHILD_ERRORS,
     _FrameBoard,
     _InlineShardHandle,
-    _ProcessShardHandle,
     _mark_recovered,
     _serial_config,
     handle_command,
+    start_process_shards,
 )
 from repro.online.service import (
     _VERDICT_CODE,
@@ -897,20 +897,13 @@ class ShardedService:
         self._shard_flagged: List[int] = [0] * self._map.n_shards
         if self._process:
             self._board = _FrameBoard()
+            partitions = []
             for shard in range(self._map.n_shards):
                 mask = owners == shard
-                ids = np.nonzero(mask)[0].astype(np.int64)
-                self._handles.append(
-                    _ProcessShardHandle(
-                        shard,
-                        cfg,
-                        self._dim,
-                        self._map,
-                        pts[mask],
-                        ids,
-                        self._tracer.enabled,
-                    )
-                )
+                partitions.append((pts[mask], np.nonzero(mask)[0].astype(np.int64)))
+            self._handles = start_process_shards(
+                cfg, self._dim, self._map, partitions, self._tracer.enabled
+            )
         else:
             for shard in range(self._map.n_shards):
                 mask = owners == shard
@@ -925,10 +918,9 @@ class ShardedService:
                         Tracer(registry, enabled=self._tracer.enabled),
                     )
                 )
-        self._owner: Dict[int, int] = {
-            int(device): int(shard)
-            for device, shard in enumerate(owners.tolist())
-        }
+        self._owner: Dict[int, int] = dict(
+            zip(range(owners.shape[0]), owners.tolist())
+        )
         self._bank: Optional[DetectorBank] = None
         self._last_detection: Optional[BankDetection] = None
         if detector is not None:

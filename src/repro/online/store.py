@@ -48,7 +48,6 @@ __all__ = [
     "AppliedBatch",
     "AppliedUpdate",
     "DeviceStateStore",
-    "SHARD_HASHES",
     "attach_store_planes",
     "shm_planes_factory",
     "stable_cell_hash",
@@ -58,13 +57,9 @@ __all__ = [
 #: Verdict-code column value meaning "no verdict recorded".
 NO_VERDICT = np.int8(-1)
 
-#: Accepted ``DeviceStateStore`` shard-hash modes.  ``"splitmix64"`` is
-#: the default: an explicit integer mix over zig-zag-packed cell
-#: coordinates, identical across Python versions, processes and
-#: checkpoint restores.  ``"legacy"`` keeps the historical
-#: ``hash(cell_tuple) % shards`` placement (stable only within one
-#: Python version's tuple-hash algorithm) for one release.
-SHARD_HASHES = ("splitmix64", "legacy")
+#: The store's cell→shard hash, recorded in every :meth:`state` so a
+#: checkpoint placed under any other scheme is refused at load.
+SHARD_HASH = "splitmix64"
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -206,13 +201,10 @@ class DeviceStateStore:
         Grid-cell side for the spatial index and shard assignment
         (``max(2r, 1e-6)`` to match the transition indexes).
     shards:
-        Number of shards; a device's shard is a stable hash of its
-        current grid cell, so spatial neighbours co-locate.
-    shard_hash:
-        ``"splitmix64"`` (default) hashes cells with
-        :func:`stable_cell_hash`, identical across Python versions and
-        checkpoint restores; ``"legacy"`` keeps the historical
-        ``hash(cell) % shards`` placement for one release.
+        Number of shards; a device's shard is
+        ``stable_cell_hash(cell) % shards`` of its current grid cell, so
+        spatial neighbours co-locate and placement is identical across
+        Python versions, processes and checkpoint restores.
     ids:
         Optional explicit device ids for the initial rows (defaults to
         ``0..n-1``).  A sharded topology builds each partition store
@@ -226,7 +218,6 @@ class DeviceStateStore:
         *,
         cell: float,
         shards: int = 8,
-        shard_hash: str = "splitmix64",
         ids: Optional[np.ndarray] = None,
         planes_factory=None,
     ) -> None:
@@ -239,13 +230,8 @@ class DeviceStateStore:
             raise ConfigurationError(
                 f"store shards must be >= 1, got {shards!r}"
             )
-        if shard_hash not in SHARD_HASHES:
-            raise ConfigurationError(
-                f"shard_hash must be one of {SHARD_HASHES}, got {shard_hash!r}"
-            )
         n = pts.shape[0]
         self._cell = float(cell)
-        self._shard_hash = shard_hash
         self._planes_factory = planes_factory
         self._planes: Optional[ShmPlanes] = None
         self.retired_planes: List[ShmPlanes] = []
@@ -260,7 +246,7 @@ class DeviceStateStore:
         self._free: List[int] = []  # LIFO row free-list
         if ids is None:
             self._id_of[:] = np.arange(n, dtype=np.int64)  # row -> id (-1 free)
-            self._row_of: Dict[int, int] = {j: j for j in range(n)}
+            self._row_of: Dict[int, int] = dict(zip(range(n), range(n)))
         else:
             id_arr = np.asarray(ids, dtype=np.int64)
             if id_arr.shape != (n,):
@@ -270,24 +256,12 @@ class DeviceStateStore:
             if id_arr.min(initial=0) < 0:
                 raise ConfigurationError("device ids must be >= 0")
             self._id_of[:] = id_arr
-            self._row_of = {
-                int(device): row for row, device in enumerate(id_arr.tolist())
-            }
+            self._row_of = dict(zip(id_arr.tolist(), range(n)))
             if len(self._row_of) != n:
                 raise ConfigurationError("device ids must be unique")
         self._tick_serial = 0
         self._n_shards = int(shards)
-        self._shard_members: List[set] = [set() for _ in range(self._n_shards)]
-        # One hash per *occupied cell*, not per device — cells are the
-        # sharding unit, and there are far fewer of them.
-        shard_of_key: Dict[CellKey, int] = {}
-        keys = np.floor(pts / self._cell).astype(np.int64)
-        for device, key in enumerate(map(tuple, keys.tolist())):
-            shard = shard_of_key.get(key)
-            if shard is None:
-                shard = shard_of_key[key] = self._shard_for(key)
-            self._shard[device] = shard
-            self._shard_members[shard].add(device)
+        self._place(np.arange(n, dtype=np.int64))
         self._sync_header()
 
     def _materialize(self, capacity: int, dim: int) -> None:
@@ -366,17 +340,19 @@ class DeviceStateStore:
         else:
             planes.close()
 
-    def _shard_for(self, key: CellKey) -> int:
-        if self._shard_hash == "legacy":
-            # Tuples of ints hash deterministically across processes of
-            # one Python version, but the tuple-hash algorithm itself
-            # has changed between versions — kept under the compat flag
-            # only.
-            return hash(key) % self._n_shards
-        return int(
-            stable_cell_hash(np.asarray(key, dtype=np.int64))[0]
-            % np.uint64(self._n_shards)
-        )
+    def _place(self, rows: np.ndarray) -> None:
+        """Set the shard column of ``rows`` from their current cells.
+
+        The one placement routine — build, restore, adoption, join and
+        cell-crossing moves all go through it: one vectorized
+        :func:`stable_cell_hash` over the rows' cell keys.  Hashing every
+        row outright is cheaper than deduplicating cells first
+        (``np.unique`` over key rows sorts them, ~50x the hash itself).
+        """
+        keys = np.floor(self._cur[rows] / self._cell).astype(np.int64)
+        self._shard[rows] = (
+            stable_cell_hash(keys) % np.uint64(self._n_shards)
+        ).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -395,11 +371,6 @@ class DeviceStateStore:
     def n_shards(self) -> int:
         """Number of shards."""
         return self._n_shards
-
-    @property
-    def shard_hash(self) -> str:
-        """The cell→shard hash mode (``"splitmix64"`` or ``"legacy"``)."""
-        return self._shard_hash
 
     @property
     def index(self) -> MutableGridIndex:
@@ -461,13 +432,16 @@ class DeviceStateStore:
             raise ConfigurationError(
                 f"shard {shard} not in [0, {self._n_shards})"
             )
-        return tuple(
-            sorted(int(self._id_of[row]) for row in self._shard_members[shard])
-        )
+        live = self._alive[: self._used] & (self._shard[: self._used] == shard)
+        return tuple(np.sort(self._id_of[: self._used][live]).tolist())
 
     def shard_sizes(self) -> Tuple[int, ...]:
         """Device count per shard."""
-        return tuple(len(members) for members in self._shard_members)
+        live = self._alive[: self._used]
+        counts = np.bincount(
+            self._shard[: self._used][live], minlength=self._n_shards
+        )
+        return tuple(counts.tolist())
 
     def is_flagged(self, device: int) -> bool:
         """Current flag bit ``a_k(j)``."""
@@ -600,10 +574,8 @@ class DeviceStateStore:
         self._alive[row] = True
         self._id_of[row] = device
         self._row_of[device] = row
-        key = self._index.insert(row, pos)
-        shard = self._shard_for(key)
-        self._shard[row] = shard
-        self._shard_members[shard].add(row)
+        self._index.insert(row, pos)
+        self._place(np.array([row], dtype=np.int64))
         self._sync_header()
         return row
 
@@ -642,7 +614,6 @@ class DeviceStateStore:
         """
         row = self.row_of(device)
         self._index.remove(row)
-        self._shard_members[int(self._shard[row])].discard(row)
         self._prev[row] = 0.0
         self._cur[row] = 0.0
         self._flags[row] = False
@@ -730,7 +701,7 @@ class DeviceStateStore:
             new_keys[moved] = moved_new
             cell_changed[moved] = moved_changed
             if moved_changed.any():
-                self._reshard(moved_rows[moved_changed], moved_new[moved_changed])
+                self._place(moved_rows[moved_changed])
         self._flags[rows] = flags
         return AppliedBatch(
             rows=rows,
@@ -743,21 +714,6 @@ class DeviceStateStore:
             old_keys=old_keys,
             new_keys=new_keys,
         )
-
-    def _reshard(self, rows: np.ndarray, keys: np.ndarray) -> None:
-        """Re-bucket the rows whose grid cell changed this batch.
-
-        A small Python loop on purpose: sharding is one stable cell hash
-        (splitmix64 by default, asserted stable by the tests) and only
-        the handful of cell-crossing movers per tick pay it.
-        """
-        for row, key in zip(rows.tolist(), map(tuple, keys.tolist())):
-            new_shard = self._shard_for(key)
-            old_shard = int(self._shard[row])
-            if new_shard != old_shard:
-                self._shard_members[old_shard].discard(row)
-                self._shard_members[new_shard].add(row)
-                self._shard[row] = new_shard
 
     def apply(
         self, device: int, position: Sequence[float], flagged: bool
@@ -812,7 +768,7 @@ class DeviceStateStore:
             "free": np.asarray(self._free, dtype=np.int64),
             "cell": np.float64(self._cell),
             "n_shards": np.int64(self._n_shards),
-            "shard_hash": np.str_(self._shard_hash),
+            "shard_hash": np.str_(SHARD_HASH),
             "tick_serial": np.int64(self._tick_serial),
         }
 
@@ -827,11 +783,7 @@ class DeviceStateStore:
         """
         store = cls.__new__(cls)
         store._cell = float(state["cell"])
-        # Checkpoints written before the stable-hash migration carry no
-        # mode marker; they were placed with the legacy tuple hash.
-        store._shard_hash = (
-            str(state["shard_hash"]) if "shard_hash" in state else "legacy"
-        )
+        store._n_shards = int(state["n_shards"])
         store._planes_factory = planes_factory
         store._planes = None
         store.retired_planes = []
@@ -843,32 +795,11 @@ class DeviceStateStore:
         store._alive[:] = np.asarray(state["alive"], dtype=bool)
         store._verdict[:] = np.asarray(state["verdict"], dtype=np.int8)
         store._id_of[:] = np.asarray(state["id_of"], dtype=np.int64)
-        store._free = [int(r) for r in np.asarray(state["free"]).tolist()]
         store._used = store._cur.shape[0]
         store._tick_serial = int(state["tick_serial"])
         store._sync_header()
-        store._row_of = {
-            int(device): row
-            for row, device in enumerate(store._id_of.tolist())
-            if device >= 0
-        }
-        # The index adopts every row 0..used-1; scrubbed free rows must
-        # not haunt cell (0, ..., 0), so they are removed explicitly.
-        store._index = MutableGridIndex.from_array(store._cur, store._cell)
-        for row in store._free:
-            store._index.remove(row)
-        store._n_shards = int(state["n_shards"])
-        store._shard_members = [set() for _ in range(store._n_shards)]
-        store._shard = np.zeros(store._used, dtype=np.int64)
-        alive_rows = np.nonzero(store._alive)[0]
-        keys = np.floor(store._cur[alive_rows] / store._cell).astype(np.int64)
-        shard_of_key: Dict[CellKey, int] = {}
-        for row, key in zip(alive_rows.tolist(), map(tuple, keys.tolist())):
-            shard = shard_of_key.get(key)
-            if shard is None:
-                shard = shard_of_key[key] = store._shard_for(key)
-            store._shard[row] = shard
-            store._shard_members[shard].add(row)
+        store._derive()
+        store._free = np.asarray(state["free"], dtype=np.int64).tolist()
         return store
 
     @classmethod
@@ -878,7 +809,6 @@ class DeviceStateStore:
         *,
         cell: float,
         shards: int = 8,
-        shard_hash: str = "splitmix64",
         planes_factory=None,
     ) -> "DeviceStateStore":
         """Rebind a store onto existing shm planes without copying rows.
@@ -887,7 +817,7 @@ class DeviceStateStore:
         worker adopts the partition its killed predecessor left in
         shared memory.  Row data, the used high-water mark, and the tick
         serial come straight from the segment; everything derived — the
-        id→row map, the free-list, the grid index, the shard buckets —
+        id→row map, the free-list, the grid index, the shard column —
         is rebuilt.  The free-list's LIFO *order* does not survive (only
         its membership); the sharded topology never observes it because
         participants rank by global id, and callers that do need the
@@ -895,41 +825,36 @@ class DeviceStateStore:
         """
         store = cls.__new__(cls)
         store._cell = float(cell)
-        store._shard_hash = shard_hash
+        store._n_shards = int(shards)
         store._planes_factory = planes_factory
         store._planes = planes
         store.retired_planes = []
         store._bind_planes(planes)
         store._used = int(planes.header[_HDR_USED])
         store._tick_serial = int(planes.header[_HDR_SERIAL])
-        id_list = store._id_of[: store._used].tolist()
-        store._row_of = {
-            int(device): row for row, device in enumerate(id_list) if device >= 0
-        }
-        store._free = [row for row, device in enumerate(id_list) if device < 0]
-        # The index adopts the *full-capacity* plane — not just the
-        # used-rows view — because a later ``join`` may claim row
-        # ``_used`` without triggering a plane grow (capacity > used),
-        # and an external index refuses inserts beyond its bound extent.
-        # Rows that never held a device are de-indexed exactly like
-        # freed rows; a genuine grow rebinds as usual.
-        store._index = MutableGridIndex.from_array(store._cur, store._cell)
-        for row in store._free:
-            store._index.remove(row)
-        for row in range(store._used, store._cur.shape[0]):
-            store._index.remove(row)
-        store._n_shards = int(shards)
-        store._shard_members = [set() for _ in range(store._n_shards)]
-        alive_rows = np.nonzero(store._alive[: store._used])[0]
-        keys = np.floor(store._cur[alive_rows] / store._cell).astype(np.int64)
-        shard_of_key: Dict[CellKey, int] = {}
-        for row, key in zip(alive_rows.tolist(), map(tuple, keys.tolist())):
-            shard = shard_of_key.get(key)
-            if shard is None:
-                shard = shard_of_key[key] = store._shard_for(key)
-            store._shard[row] = shard
-            store._shard_members[shard].add(row)
+        store._derive()
+        store._free = np.nonzero(store._id_of[: store._used] < 0)[0].tolist()
         return store
+
+    def _derive(self) -> None:
+        """Rebuild the id→row map, grid index and shard column.
+
+        Restore and adoption share it: only the row columns travel, and
+        everything here follows from them.  The index adopts the
+        *full-capacity* plane — a later ``join`` may claim row ``_used``
+        without a grow, and an external index refuses inserts beyond its
+        bound extent — so every row that holds no device (freed, or
+        never used) is de-indexed; a genuine grow rebinds as usual.
+        """
+        ids = self._id_of[: self._used]
+        live = np.nonzero(ids >= 0)[0]
+        self._row_of = dict(zip(ids[live].tolist(), live.tolist()))
+        self._index = MutableGridIndex.from_array(self._cur, self._cell)
+        empty = np.ones(self._cur.shape[0], dtype=bool)
+        empty[live] = False
+        for row in np.nonzero(empty)[0].tolist():
+            self._index.remove(row)
+        self._place(live)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

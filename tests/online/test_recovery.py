@@ -263,6 +263,24 @@ class TestFormat:
         with pytest.raises(CheckpointError, match="format version 999"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("marker", [None, "legacy"])
+    def test_foreign_shard_placement_raises(self, tmp_path, marker):
+        """Store state without the stable-hash marker (pre-marker
+        checkpoints) or placed by the retired tuple hash is refused."""
+        service, _ = _fresh_service()
+        with service:
+            path = save_checkpoint(service, tmp_path / "ck.npz")
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        assert str(arrays["store_shard_hash"]) == "splitmix64"
+        if marker is None:
+            del arrays["store_shard_hash"]
+        else:
+            arrays["store_shard_hash"] = np.str_(marker)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(CheckpointError, match="cell hash"):
+            load_checkpoint(path)
+
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
         service, _ = _fresh_service()
         with service:

@@ -14,6 +14,9 @@ per-shard consistent-cut checkpoint round trip.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -603,6 +606,19 @@ class TestShardedRecovery:
         with pytest.raises(CheckpointError):
             load_sharded_checkpoint(path)
 
+    def test_legacy_placed_part_is_rejected(self, tmp_path):
+        positions = np.random.default_rng(43).random((16, 2))
+        with ShardedService(positions.copy(), CFG, topology_shards=2,
+                            parallel=False) as svc:
+            path = svc.checkpoint(tmp_path)
+        part = sorted(tmp_path.glob("shard-*/part-*.npz"))[-1]
+        with np.load(part) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["store_shard_hash"] = np.str_("legacy")
+        np.savez_compressed(part, **arrays)
+        with pytest.raises(CheckpointError, match="'legacy' cell hash"):
+            load_sharded_checkpoint(path)
+
     def test_list_latest_and_prune(self, tmp_path):
         rng = np.random.default_rng(51)
         positions = rng.random((12, 2))
@@ -723,6 +739,40 @@ class TestProcessTopology:
                        if hasattr(h, "respawns")) >= 1
         finally:
             sharded.close()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs a /dev/shm listing"
+    )
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_child_start_failure_leaves_nothing_behind(
+        self, monkeypatch, failing
+    ):
+        """Children start concurrently; if one fails to build, the
+        constructor raises and every sibling — ready or still building —
+        is stopped with its shared-memory planes unlinked."""
+        from repro.online import sharded as sharded_mod
+
+        real = sharded_mod._ShardWorker
+
+        class FailingWorker(real):
+            def __init__(self, shard, *args, **kwargs):
+                if shard == failing:
+                    raise RuntimeError(f"shard {shard} cannot start")
+                super().__init__(shard, *args, **kwargs)
+
+        monkeypatch.setattr(sharded_mod, "_ShardWorker", FailingWorker)
+        before = set(os.listdir("/dev/shm"))
+        positions = np.random.default_rng(41).random((64, 2))
+        with pytest.raises(ConfigurationError, match="cannot start"):
+            ShardedService(
+                positions, CFG, topology_shards=4, topology_workers="process"
+            )
+        children = [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-shard")
+        ]
+        assert children == []
+        assert set(os.listdir("/dev/shm")) - before == set()
 
     def test_min_shard_devices_collapses_and_warns(self):
         positions = np.random.default_rng(33).random((16, 2))

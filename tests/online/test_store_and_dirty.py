@@ -72,17 +72,6 @@ class TestSharding:
             expect = int(stable_cell_hash(key)[0] % np.uint64(store.n_shards))
             assert store.shard_of(0) == expect
 
-    def test_legacy_hash_mode_matches_tuple_hash(self):
-        pts = np.random.default_rng(5).random((10, 2))
-        store = DeviceStateStore(
-            pts, cell=0.05, shards=7, shard_hash="legacy"
-        )
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            store.apply(0, rng.random(2), False)
-            key = store.index.key_of(0)
-            assert store.shard_of(0) == hash(key) % store.n_shards
-
     def test_bad_shard_lookup_rejected(self):
         store, _ = make_store(shards=3)
         with pytest.raises(ConfigurationError):

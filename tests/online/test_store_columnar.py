@@ -6,6 +6,10 @@ The structure-of-arrays PR's acceptance tests live here:
   against a dict-based mirror: the id↔row map stays a bijection, rows
   are reused LIFO, and a reused row never resurrects the departed
   device's position, flag or verdict;
+* a second one holds cell→shard placement to its definition
+  (``stable_cell_hash(cell) % shards`` for every live device) across
+  fresh builds, churn, ``from_state`` round trips and ``adopt_planes``,
+  and pins the hash itself on fixed keys;
 * the read-only view contract of ``snapshot_arrays`` /
   ``current_positions`` (``copy=True`` is the only way to get a mutable
   array);
@@ -36,6 +40,11 @@ from repro.online import (
     OnlineCharacterizationService,
     QosUpdate,
     ServiceConfig,
+)
+from repro.online.store import (
+    attach_store_planes,
+    shm_planes_factory,
+    stable_cell_hash,
 )
 
 
@@ -203,6 +212,122 @@ class TestFreeListProperties:
         store.apply(5, [0.91, 0.17], False)
         assert np.allclose(store.index.position(store.row_of(5)), [0.91, 0.17])
         assert len(store.index) == 40
+
+
+# ----------------------------------------------------------------------
+# Cell -> shard placement (hypothesis)
+# ----------------------------------------------------------------------
+def assert_placement(store, cell, shards):
+    """Every live device sits in ``stable_cell_hash(its cell) % shards``."""
+    ids = np.asarray(store.row_ids())
+    live = sorted(int(j) for j in ids[ids >= 0])
+    for j in live:
+        key = np.floor(store.position(j) / cell).astype(np.int64)
+        expect = int(stable_cell_hash(key)[0] % np.uint64(shards))
+        assert store.shard_of(j) == expect
+    sizes = store.shard_sizes()
+    assert len(sizes) == shards and sum(sizes) == store.n == len(live)
+    members = [store.shard_members(s) for s in range(shards)]
+    assert [len(m) for m in members] == list(sizes)
+    assert sorted(j for m in members for j in m) == live
+    for s, m in enumerate(members):
+        assert list(m) == sorted(m)
+        assert all(store.shard_of(j) == s for j in m)
+
+
+def _placement_ops():
+    position = st.tuples(
+        st.floats(0.0, 1.0, allow_nan=False, width=32),
+        st.floats(0.0, 1.0, allow_nan=False, width=32),
+    )
+    device = st.integers(0, 15)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("join"), device, position),
+            st.tuples(st.just("leave"), device),
+            st.tuples(st.just("move"), device, position),
+        ),
+        max_size=40,
+    )
+
+
+class TestShardPlacement:
+    def test_stable_cell_hash_is_pinned(self):
+        # Any change to these values moves devices between store shards
+        # under a restored checkpoint.
+        keys = np.array(
+            [[0, 0], [1, -1], [-3, 7], [123456, -98765]], dtype=np.int64
+        )
+        assert stable_cell_hash(keys).tolist() == [
+            0x9FCDF9F856DB9617,
+            0x70B1A26A659F98A6,
+            0x492D80BAE6013A25,
+            0x329E846639784EC7,
+        ]
+        assert stable_cell_hash(np.array([[2, 0, 5]])).tolist() == [
+            0x415AF485B2E2CAC9
+        ]
+        assert stable_cell_hash(np.array([4, 9])).tolist() == [
+            0x5D769BFC2D1F6D9C
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        shards=st.integers(1, 9),
+        cell=st.sampled_from([0.03, 0.1, 0.25, 1.0]),
+        seed=st.integers(0, 2**16),
+        explicit_ids=st.booleans(),
+    )
+    def test_fresh_build(self, n, shards, cell, seed, explicit_ids):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, 2))
+        ids = rng.permutation(4 * n)[:n] if explicit_ids else None
+        store = DeviceStateStore(pts, cell=cell, shards=shards, ids=ids)
+        assert_placement(store, cell, shards)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=_placement_ops(),
+        shards=st.integers(1, 7),
+        cell=st.sampled_from([0.06, 0.2, 0.5]),
+    )
+    def test_churn_restore_and_adoption(self, ops, shards, cell):
+        pts = np.random.default_rng(1).random((4, 2))
+        store = DeviceStateStore(
+            pts, cell=cell, shards=shards, planes_factory=shm_planes_factory()
+        )
+        try:
+            for op in ops:
+                kind, device = op[0], op[1]
+                present = store.row_if_present(device) is not None
+                if kind == "join" and not present:
+                    store.join(device, op[2])
+                elif kind == "leave" and present:
+                    store.leave(device)
+                elif kind == "move" and present:
+                    store.apply_rows(
+                        np.array([store.row_of(device)]),
+                        np.asarray([op[2]], dtype=float),
+                        np.zeros(1, dtype=bool),
+                    )
+                store.drop_retired_planes()
+                assert_placement(store, cell, shards)
+            restored = DeviceStateStore.from_state(store.state())
+            assert_placement(restored, cell, shards)
+            planes = store.planes
+            adopted = DeviceStateStore.adopt_planes(
+                attach_store_planes(planes.name, planes.capacity, store.dim),
+                cell=cell,
+                shards=shards,
+            )
+            try:
+                assert_placement(adopted, cell, shards)
+                assert store.shard_sizes() == adopted.shard_sizes()
+            finally:
+                adopted.release_planes(unlink=False)
+        finally:
+            store.release_planes(unlink=True)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -393,3 +397,45 @@ class TestDetectorFlags:
                 tick.pop("stage_seconds", None)  # wall-clock, run-varying
             rows[plane] = ticks
         assert rows["bank"] == rows["scalar"]
+
+
+_NO_SCIPY = '''
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import repro.cli
+import repro.online
+
+code = repro.cli.main(["serve", "--devices", "500", "--ticks", "2"])
+assert code == 0, code
+assert "scipy" not in sys.modules
+print("serve without scipy OK")
+'''
+
+
+class TestDeclaredEnvironment:
+    def test_service_paths_never_import_scipy(self):
+        """scipy is only the ``analysis`` extra: the console entry point
+        and the online service must import and serve without it."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "serve without scipy OK" in proc.stdout
