@@ -99,7 +99,7 @@ def _drive(service, frames):
 def test_sharded_tick_scaling(shards):
     frames = _stream(N, TICKS, seed=0)
     with ShardedService(
-        frames[0][0], CFG, topology_shards=shards, parallel=True
+        frames[0][0], CFG, topology_shards=shards
     ) as service:
         sizes = service.shard_sizes()
         assert sum(sizes) == N
@@ -129,7 +129,7 @@ def test_busiest_shard_load_shrinks_with_shard_count():
     loads = {}
     for shards in (1, 4):
         with ShardedService(
-            frames[0][0], CFG, topology_shards=shards, parallel=False
+            frames[0][0], CFG, topology_shards=shards
         ) as service:
             _, peaks, _ = _drive(service, frames)
             loads[shards] = max(peaks)
@@ -161,7 +161,6 @@ def _scaling_rows(n, ticks, seed, topology, shard_counts, churn=100):
             frames[0][0],
             CFG,
             topology_shards=shards,
-            parallel=True,
             topology_workers=topology,
         ) as service:
             seconds, _, halo_bytes = _drive(service, frames)
@@ -224,7 +223,7 @@ def test_sharded_matches_single_at_bench_scale():
     frames = _stream(n, ticks, seed=3)
     with OnlineCharacterizationService(frames[0][0].copy(), CFG) as single:
         with ShardedService(
-            frames[0][0].copy(), CFG, topology_shards=4, parallel=True
+            frames[0][0].copy(), CFG, topology_shards=4
         ) as sharded:
             for positions, flags in frames:
                 want = single.feed_snapshot(positions, flags)
@@ -252,7 +251,6 @@ def test_million_device_tick(topology):
         positions,
         cfg,
         topology_shards=8,
-        parallel=True,
         topology_workers=topology,
     ) as service:
         assert sum(service.shard_sizes()) == n

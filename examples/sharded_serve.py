@@ -10,7 +10,7 @@ Everything the sharded-topology PR adds, in one script:
 2. pump :class:`LoadGenerator` traffic through it: events fan out to
    their owning shards, movers migrate between shards mid-stream, and
    each tick the shards exchange a halo band of boundary rows over
-   shared memory before characterizing in parallel;
+   shared memory before characterizing their own residents;
 3. snapshot the per-shard metrics plane
    (``repro_shard_devices{shard=...}``, per-shard stage latencies)
    plus the merged tick stage breakdown;
@@ -73,7 +73,6 @@ def main() -> None:
         cfg,
         topology_shards=args.topology_shards,
         topology_workers=args.topology_workers,
-        parallel=True,
         sinks=(metrics,),
     ) as service:
         topology = service.topology

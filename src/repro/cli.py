@@ -26,13 +26,13 @@ and prints per-tick and aggregate figures; ``replay`` runs a detector
 bank over a recorded JSON-lines QoS trace (or a generated synthetic one)
 and feeds the resulting event stream through the same service.  Both
 accept ``--store-shards`` / ``--batch`` / ``--backend`` to exercise the
-service's sharding, batching and execution knobs (``--shards`` survives
-as a deprecated alias), ``--topology-shards N`` to scale out across N
-spatial shards with halo exchange, plus ``--detector`` /
-``--detection`` and per-family knobs selecting the error detection
-function ``a_k(j)`` (step, band, ewma, shewhart, cusum, holt-winters,
-kalman) and its plane (vectorized array bank — the default — or the
-scalar reference loop).  ``serve --raw`` ships raw QoS snapshots and
+service's sharding, batching and execution knobs, ``--topology-shards
+N`` to scale out across N spatial shards with halo exchange (in this
+process or in forked children, ``--topology-workers``), plus
+``--detector`` / ``--detection`` and per-family knobs selecting the
+error detection function ``a_k(j)`` (step, band, ewma, shewhart, cusum,
+holt-winters, kalman) and its plane (vectorized array bank — the
+default — or the scalar reference loop).  ``serve --raw`` ships raw QoS snapshots and
 lets the service's own in-service bank decide the flags.
 
 Both service commands take ``--metrics-port`` (a Prometheus + JSON
@@ -127,18 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --backend process",
     )
 
-    class _DeprecatedStoreShards(argparse.Action):
-        """``--shards`` alias for ``--store-shards``, with a warning."""
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            print(
-                "warning: --shards is deprecated; use --store-shards "
-                "(store-internal hash shards) or --topology-shards "
-                "(spatial shards)",
-                file=sys.stderr,
-            )
-            setattr(namespace, self.dest, values)
-
     def add_service_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument("--r", type=float, default=0.03, help="impact radius")
         sub_parser.add_argument("--tau", type=int, default=3, help="density threshold")
@@ -147,18 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="hash shards inside each device-state store",
         )
         sub_parser.add_argument(
-            "--shards", dest="store_shards", type=int,
-            action=_DeprecatedStoreShards, help=argparse.SUPPRESS,
-        )
-        sub_parser.add_argument(
             "--topology-shards", type=int, default=0,
             help="spatial shards with halo exchange (0 = single service)",
         )
         sub_parser.add_argument(
             "--topology-workers", choices=("thread", "process"),
             default="thread",
-            help="where shard pipelines run: in-parent threads or "
-            "per-shard processes over shared-memory partitions",
+            help="where shards run: 'thread' in this process, one after "
+            "another; 'process' in per-shard forked processes over "
+            "shared-memory partitions",
         )
         sub_parser.add_argument(
             "--min-shard-devices", type=int, default=1024,

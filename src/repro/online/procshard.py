@@ -1,14 +1,22 @@
-"""Process topology: shard workers as supervised daemonic processes.
+"""The shard command protocol and the two handles that speak it.
 
-The thread topology (:mod:`repro.online.sharded`) anti-scales: every
-``_ShardWorker`` pipeline shares the GIL, so four shards cost *more*
-wall-clock than one.  This module moves whole shard workers out of the
-GIL.  Each spatial shard becomes one long-lived **fork-context daemonic
-process** hosting an ordinary ``_ShardWorker`` whose store partition
-lives in shared-memory columnar planes
-(:func:`repro.online.store.shm_planes_factory`); the front door ships
-*commands* — global device ids, tick numbers, segment names — over a
-duplex pipe, never pickled stores.
+A :class:`~repro.online.sharded.ShardedService` drives every spatial
+shard through one command protocol (:func:`handle_command`) over a
+per-shard handle, and the topology picks only the handle:
+
+* ``"thread"`` — :class:`_InlineShardHandle` runs the shard's
+  ``_ShardWorker`` inside the front door's process, serially, at
+  collect time: the no-fork topology;
+* ``"process"`` — :class:`_ProcessShardHandle` hosts it in one
+  long-lived **fork-context daemonic process** whose store partition
+  lives in shared-memory columnar planes
+  (:func:`repro.online.store.shm_planes_factory`), out of the parent's
+  GIL; the front door ships *commands* — global device ids, tick
+  numbers, segment names — over a duplex pipe, never pickled stores.
+
+Both read peer halo bands and the snapshot frame board from shared
+memory by name, so the only difference between them is where the
+handler runs.
 
 Protocol
 --------
@@ -38,8 +46,8 @@ is exact, just slower for one tick — and every command handler is
 idempotent under re-execution against partially-applied planes
 (re-scatters no-op, evictions and admissions skip when already done).
 Exhausted retries degrade the shard to an in-parent serial worker
-(:class:`_InlineShardHandle`) running the *same* command handler —
-degraded, never divergent.
+behind an :class:`_InlineShardHandle` — the thread topology's own code
+path, running the *same* command handler: degraded, never divergent.
 
 Why ``fork``: children inherit the parent's modules, chaos plan and
 resource tracker, so shared-memory create/attach/unlink registrations
@@ -67,6 +75,7 @@ from repro.core.errors import (
 from repro.ipc import (
     SegmentReader,
     ShardDeadError,
+    ShmPlanes,
     ShardTimeoutError,
     StaleHaloError,
     WorkerHandle,
@@ -81,7 +90,9 @@ from repro.online.store import (
     DeviceStateStore,
     attach_store_planes,
     shm_planes_factory,
+    store_plane_fields,
 )
+from repro.robust.chaos import get_injector
 
 __all__ = [
     "handle_command",
@@ -113,8 +124,9 @@ _CHILD_ERRORS = {
 
 
 def _serial_config(config):
-    """The per-shard config a child runs under: daemonic processes
-    cannot have children, so the local engine is forced serial."""
+    """The per-shard config a child (or a degraded fallback) runs
+    under: daemonic processes cannot have children, so the local engine
+    is forced serial."""
     return replace(
         config,
         backend="serial",
@@ -127,7 +139,7 @@ def _serial_config(config):
 def _maybe_roll(store: DeviceStateStore, tick: int) -> None:
     """Roll the deferred ``S_{k-1} <- S_k`` snapshot copy lazily.
 
-    A deferred-advance worker leaves tick ``k``'s verdict with
+    A shard worker leaves tick ``k``'s verdict with
     ``tick_serial == k - 1``; the first mutating command of tick ``k+1``
     must roll *before* touching the current plane, or the update would
     corrupt the previous endpoint of every trajectory.
@@ -240,13 +252,13 @@ def handle_command(
     board_reader: SegmentReader,
     planes_factory,
 ):
-    """Execute one front-door command against a deferred-advance worker.
+    """Execute one front-door command against a shard worker.
 
-    The single implementation both the child main loop and the degraded
-    in-parent fallback (:class:`_InlineShardHandle`) run — supervision
-    must never change *what* a shard computes, only where.  Every
-    handler is idempotent under re-execution on partially-applied
-    planes (the respawn-retry contract).
+    The single implementation both the child main loop and the
+    in-parent :class:`_InlineShardHandle` run — the topology must never
+    change *what* a shard computes, only where.  Every handler is
+    idempotent under re-execution on partially-applied planes (the
+    respawn-retry contract).
     """
     from repro.online.stages import TickContext
     from repro.online.sharded import _ctx_result
@@ -254,7 +266,7 @@ def handle_command(
     store = worker.store
     if op == "state":
         # Checkpoints capture *completed* ticks: roll the deferred
-        # advance so the cut is bit-identical to the thread topology's.
+        # advance so the cut holds the tick's own snapshot pair.
         if store.tick_serial < tick:
             store.advance_tick()
         return (
@@ -440,7 +452,6 @@ def _shard_child_main(
                 cfg,
                 tracer,
                 planes_factory=factory,
-                defer_advance=True,
             )
         else:
             _, plane_name, capacity = init
@@ -459,7 +470,6 @@ def _shard_child_main(
                 cfg,
                 tracer,
                 store=store,
-                defer_advance=True,
             )
             _mark_recovered(worker)
     except Exception as exc:
@@ -563,8 +573,8 @@ class _ProcessShardHandle:
     segment name and capacity (refreshed from every reply header, so a
     respawned child can adopt them), the child's live halo-ring segment
     names (unlinked by the parent after a kill — a killed child never
-    cleans up), and the last *canonical* command (resent verbatim on
-    retry; chaos decorations are never remembered).
+    cleans up), and the last command as the front door meant it (resent
+    verbatim on retry; chaos decorations are never remembered).
 
     Construction forks the child without waiting for it; call
     :meth:`await_ready` (or use :func:`start_process_shards`) before the
@@ -626,19 +636,51 @@ class _ProcessShardHandle:
         self.plane_capacity = int(capacity)
         self.n = int(n)
 
-    def send(self, msg, *, canonical: Optional[tuple] = None) -> None:
-        """Ship one command; remember its canonical form for retries.
+    @property
+    def nbytes(self) -> int:
+        """The shm plane segment size, from the last reply's capacity."""
+        return ShmPlanes.required_bytes(
+            self.plane_capacity, store_plane_fields(self._dim)
+        )
 
-        ``canonical`` strips chaos decorations (drop-reply/hang flags)
-        so a supervised retry replays the *intended* command.  Send
-        failures are swallowed — a dead child surfaces at :meth:`recv`,
-        where the respawn logic lives.
+    def send(self, msg, *, chaos: bool = False) -> None:
+        """Ship one command; remember it, undecorated, for retries.
+
+        With ``chaos`` the command meets the injector's pool-dispatch
+        fault vocabulary keyed on (tick, shard): ``kill`` strikes before
+        the send (dispatch meets a dead child), ``kill_after`` right
+        after (EOF mid-task); drop/hang decorate the payload with flags
+        only the child's pipe loop honours.  The remembered command is
+        the undecorated one, so a supervised retry replays the intended
+        work.  Send failures are swallowed — a dead child surfaces at
+        :meth:`recv`, where the respawn logic lives.
         """
-        self.last_msg = canonical if canonical is not None else msg
+        self.last_msg = msg
+        injector = get_injector()
+        action = (
+            injector.pool_dispatch(int(msg[1]), self.shard)
+            if chaos and injector.active
+            else None
+        )
+        if action is not None:
+            if action.delay:
+                time.sleep(action.delay)
+            if action.kill:
+                self.terminate_child()
+            if action.drop_reply or action.hang:
+                op, tick, payload = msg
+                payload = dict(payload)
+                if action.drop_reply:
+                    payload["_drop_reply"] = True
+                if action.hang:
+                    payload["_hang"] = action.hang
+                msg = (op, tick, payload)
         try:
             self.worker.conn.send(msg)
         except (BrokenPipeError, OSError):
             pass
+        if action is not None and action.kill_after:
+            self.terminate_child()
 
     def resend_last(self) -> None:
         try:
@@ -703,14 +745,17 @@ class _ProcessShardHandle:
 
 
 class _InlineShardHandle:
-    """Degraded mode: the shard runs serially inside the front door.
+    """A shard run serially inside the front door's process.
 
-    Swapped in when supervision exhausts its retries.  Speaks the same
-    send/recv surface as :class:`_ProcessShardHandle` (so the phase
-    loops don't branch) but executes :func:`handle_command` directly on
-    an in-parent ``_ShardWorker`` at ``recv`` time; peer halo bands are
-    still read from shared memory by name.  Chaos kill decorations are
-    no-ops here — there is no process left to kill.
+    Every shard of the thread topology, and a process shard whose
+    supervision exhausted its retries.  Speaks the same send/recv
+    surface as :class:`_ProcessShardHandle` (so the phase loop never
+    branches) but executes :func:`handle_command` directly on an
+    in-parent ``_ShardWorker`` at ``recv`` time; peer halo bands and the
+    frame board are read from shared memory by name, as a child reads
+    them.  There is no child to kill, so chaos dispatch faults are never
+    consulted here; a ``_hang`` stall in the payload is honoured after
+    the command, as the child loop honours it.
     """
 
     def __init__(self, worker, shard_map) -> None:
@@ -720,19 +765,18 @@ class _InlineShardHandle:
         self._halo_reader = SegmentReader()
         self._board_reader = SegmentReader()
         self._pending: Optional[tuple] = None
-        self.last_msg: Optional[tuple] = None
-        self.plane_name: Optional[str] = None
-        self.plane_capacity = 0
         self.ring_names: Tuple[str, ...] = ()
-        self.respawns = 0
 
     @property
     def n(self) -> int:
         return self.inner.store.n
 
-    def send(self, msg, *, canonical: Optional[tuple] = None) -> None:
-        self._pending = canonical if canonical is not None else msg
-        self.last_msg = self._pending
+    @property
+    def nbytes(self) -> int:
+        return self.inner.store.nbytes
+
+    def send(self, msg, *, chaos: bool = False) -> None:
+        self._pending = msg
 
     def recv(self, deadline: Optional[float] = None):
         op, tick, payload = self._pending
@@ -747,10 +791,10 @@ class _InlineShardHandle:
             board_reader=self._board_reader,
             planes_factory=None,
         )
+        hang = payload.get("_hang")
+        if hang:
+            time.sleep(float(hang))
         return (True, None, 0, self.inner.store.n, result)
-
-    def terminate_child(self) -> None:
-        pass
 
     def shutdown(self) -> None:
         self.inner.close()

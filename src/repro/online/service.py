@@ -464,7 +464,332 @@ class ReportSink:
                 rows.append((tick.tick, device, verdict.anomaly_type))
 
 
-class OnlineCharacterizationService:
+class _FrontDoor:
+    """The ingest surface both service classes share, line for line.
+
+    :class:`OnlineCharacterizationService` (one store) and
+    :class:`~repro.online.sharded.ShardedService` (spatial shards) take
+    inputs through the same bounded queue and backpressure policies,
+    validate them with the same per-event and per-row rules, count
+    rejections on the same ``repro_service_rejected_total{reason}``
+    counter and run in-service detection through the same
+    :class:`~repro.online.stages.DetectStage`.  A subclass supplies only
+    where accepted rows land — :meth:`_locate` and :meth:`_apply_rows`
+    (local store rows vs. a route by owner shard) — and the current
+    frame a ``"sanitize"`` repair falls back to
+    (:meth:`_current_frame`), plus ``n``, ``dim``, ``feed_snapshot`` and
+    ``end_tick``.
+    """
+
+    def _init_front_door(
+        self,
+        config: ServiceConfig,
+        *,
+        sinks: Iterable[Callable[["OnlineTick"], None]],
+        tracer: Optional[Tracer],
+    ) -> None:
+        self._config = config
+        self._tracer = tracer if tracer is not None else Tracer()
+        registry = self._tracer.registry
+        self._gauge_queue_depth = registry.gauge(
+            "repro_service_queue_depth",
+            "Ingest-queue backlog observed at each tick close",
+        )
+        self._gauge_devices = registry.gauge(
+            "repro_service_devices", "Devices tracked by the store"
+        )
+        self._gauge_flagged = registry.gauge(
+            "repro_service_flagged_devices",
+            "Devices flagged at the latest tick",
+        )
+        self._bank: Optional[DetectorBank] = None
+        self._last_detection: Optional[BankDetection] = None
+        self._queue: Deque[QosUpdate] = deque()
+        # Updates applied since the last end_tick — includes inline
+        # drains forced by "block" backpressure, so per-tick accounting
+        # never undercounts.
+        self._applied_since_tick = 0
+        self._sinks: List[Callable[[OnlineTick], None]] = list(sinks)
+        self._ingest_stage = IngestDrainStage(
+            lambda: self._apply_batch(
+                self._config.max_batch or len(self._queue)
+            ),
+            lambda: len(self._queue),
+        )
+        self._detect_stage = DetectStage(lambda: self._bank)
+        self._sink_stage = SinkStage(self._sinks)
+        self._tick = 0
+        self._closed = False
+        self.stats = ServiceStats()
+        #: Rejected-input tally by reason (mirrored to the registry
+        #: counter ``repro_service_rejected_total{reason}``).
+        self.rejected: Dict[str, int] = {}
+        self._rejected_counter = registry.counter(
+            "repro_service_rejected_total",
+            "Malformed inputs rejected by the service, by reason",
+            labelnames=("reason",),
+        )
+
+    def _attach_detector(
+        self,
+        detector: Optional[DetectorLike],
+        detection: Optional[str],
+        positions: np.ndarray,
+    ) -> None:
+        """Build the in-service bank; the initial snapshot is its step 0."""
+        if detector is not None:
+            self._bank = as_bank(
+                detector, positions.shape[0], positions.shape[1], plane=detection
+            )
+            # Warm-up step 0: the initial snapshot is the bank's first
+            # observation, exactly like the trace replayers' step 0.
+            self._last_detection = self._bank.observe_batch(positions)
+        elif detection is not None:
+            raise ConfigurationError(
+                "detection plane given without a detector spec or bank"
+            )
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def config(self) -> ServiceConfig:
+        """The service configuration."""
+        return self._config
+
+    @property
+    def current_tick(self) -> int:
+        """Number of completed ticks."""
+        return self._tick
+
+    @property
+    def bank(self) -> Optional[DetectorBank]:
+        """The in-service detector bank (None without a ``detector``)."""
+        return self._bank
+
+    @property
+    def last_detection(self) -> Optional[BankDetection]:
+        """The bank's most recent batch detection, if any."""
+        return self._last_detection
+
+    @property
+    def queued(self) -> int:
+        """Events currently waiting in the ingest queue."""
+        return len(self._queue)
+
+    @property
+    def tracer(self) -> Tracer:
+        """The stage-span tracer timing this service's tick pipeline."""
+        return self._tracer
+
+    def add_sink(self, sink: Callable[["OnlineTick"], None]) -> None:
+        """Attach a sink called with every finished :class:`OnlineTick`."""
+        self._sinks.append(sink)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Ingest
+    # ------------------------------------------------------------------
+    def ingest(self, update: QosUpdate) -> bool:
+        """Enqueue one event; returns False iff it displaced older work.
+
+        At capacity, the configured backpressure policy decides: apply
+        queued updates inline (``block``), drop the oldest queued event
+        (``drop-oldest``), or refuse (``error``).
+        """
+        cfg = self._config
+        accepted = True
+        if len(self._queue) >= cfg.queue_capacity:
+            if cfg.backpressure == "error":
+                raise QueueFullError(
+                    f"ingest queue is at capacity ({cfg.queue_capacity})"
+                )
+            if cfg.backpressure == "drop-oldest":
+                self._queue.popleft()
+                self.stats.updates_dropped += 1
+                accepted = False
+            else:  # block: make room by doing the consumer's work now
+                with self._tracer.span("ingest-drain"):
+                    self._apply_batch(cfg.max_batch or len(self._queue))
+                self.stats.inline_drains += 1
+        self._queue.append(update)
+        return accepted
+
+    def ingest_many(self, updates: Iterable[QosUpdate]) -> int:
+        """Enqueue a batch; returns how many were accepted cleanly."""
+        return sum(1 for update in updates if self.ingest(update))
+
+    def _apply_batch(self, limit: int) -> int:
+        """Pop up to ``limit`` events, apply them as vectorized row batches.
+
+        :meth:`DeviceStateStore.apply_rows` needs unique rows, so the
+        batch is split into order-preserving segments at each repeated
+        device: within and across segments arrival order is preserved,
+        so last-write-wins semantics hold and every intermediate state
+        still marks the dirty tracker (a device hopping A→B→C dirties
+        all three cells, exactly as the per-update path did).
+        """
+        batch: List[QosUpdate] = []
+        while self._queue and len(batch) < limit:
+            batch.append(self._queue.popleft())
+        if not batch:
+            return 0
+        start = 0
+        seen = set()
+        applied = 0
+        for i, update in enumerate(batch):
+            if update.device in seen:
+                applied += self._apply_segment(batch[start:i])
+                start = i
+                seen = set()
+            seen.add(update.device)
+        applied += self._apply_segment(batch[start:])
+        # Rejected events are tallied separately — only events that
+        # actually landed in the store count as applied.
+        self.stats.updates_applied += applied
+        self._applied_since_tick += applied
+        return len(batch)
+
+    def _reject(self, reason: str, count: int = 1) -> None:
+        """Count ``count`` rejected inputs under ``reason``."""
+        if count <= 0:
+            return
+        self.rejected[reason] = self.rejected.get(reason, 0) + count
+        self._rejected_counter.labels(reason=reason).inc(count)
+
+    def _reject_bad_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Count the NaN / inf / out-of-cube rows; return their mask."""
+        nan_bad = np.isnan(rows).any(axis=1)
+        inf_bad = np.isinf(rows).any(axis=1)
+        finite = ~(nan_bad | inf_bad)
+        range_bad = finite & ((rows < 0.0).any(axis=1) | (rows > 1.0).any(axis=1))
+        self._reject("nan", int(nan_bad.sum()))
+        self._reject("inf", int(inf_bad.sum()))
+        self._reject("out-of-range", int(range_bad.sum()))
+        return ~finite | range_bad
+
+    def _apply_segment(self, segment: List[QosUpdate]) -> int:
+        """Apply one duplicate-free event run as a single row batch.
+
+        Malformed events are dropped *per event*, counted on
+        ``repro_service_rejected_total{reason}``: an unknown device id,
+        a position of the wrong dimension, a non-finite coordinate or
+        one outside the unit cube must not crash the tick (or desync
+        the store) for every well-formed report in the same batch.
+        Returns how many events actually landed in the store.
+        """
+        dim = self.dim
+        where: List[int] = []
+        kept: List[QosUpdate] = []
+        for update in segment:
+            loc = self._locate(update.device)
+            if loc is None:
+                self._reject("unknown-device")
+                continue
+            if len(update.position) != dim:
+                self._reject("dimension-mismatch")
+                continue
+            where.append(loc)
+            kept.append(update)
+        if not kept:
+            return 0
+        positions = np.array([update.position for update in kept], dtype=float)
+        bad = self._reject_bad_rows(positions)
+        if bad.any():
+            idx = np.nonzero(~bad)[0]
+            if idx.size == 0:
+                return 0
+            positions = positions[idx]
+            where = [where[i] for i in idx.tolist()]
+            kept = [kept[i] for i in idx.tolist()]
+        count = len(kept)
+        self._apply_rows(
+            np.asarray(where, dtype=np.int64),
+            np.fromiter(
+                (update.device for update in kept), dtype=np.int64, count=count
+            ),
+            positions,
+            np.fromiter(
+                (update.flagged for update in kept), dtype=bool, count=count
+            ),
+        )
+        return count
+
+    def _locate(self, device: int) -> Optional[int]:
+        """Where ``device`` lives (``None`` if unknown), for :meth:`_apply_rows`."""
+        raise NotImplementedError
+
+    def _apply_rows(
+        self,
+        where: np.ndarray,
+        ids: np.ndarray,
+        positions: np.ndarray,
+        flags: np.ndarray,
+    ) -> None:
+        """Apply validated, duplicate-free rows located by :meth:`_locate`."""
+        raise NotImplementedError
+
+    def _current_frame(self) -> np.ndarray:
+        """Current positions indexed by device id (the sanitize fallback)."""
+        raise NotImplementedError
+
+    def feed_measurements(self, values: np.ndarray) -> "OnlineTick":
+        """One tick from raw QoS vectors: the service detects, then flags.
+
+        Requires a ``detector`` at construction.  The bank observes the
+        ``(n, d)`` snapshot (one vectorized update for the whole fleet),
+        its flag vector joins the positions in ``feed_snapshot``, and
+        the resulting flag *diffs* drive the usual dirty-region
+        invalidation — callers ship measurements, not verdicts.
+        """
+        self._detect_stage.require_bank()
+        arr = np.asarray(values, dtype=float)
+        injector = get_injector()
+        if injector.active:
+            arr = injector.corrupt_frame(self._tick + 1, arr)
+        arr = self._validate_frame(arr)
+        detection = self._detect_stage.observe(arr, self._tracer)
+        self._last_detection = detection
+        return self.feed_snapshot(arr, detection.flags)
+
+    def _validate_frame(self, arr: np.ndarray) -> np.ndarray:
+        """Apply the configured validation mode to one raw QoS frame.
+
+        Runs *before* the detector bank observes anything, so a
+        rejected frame can never leave the bank one observation ahead
+        of the store.  ``"strict"`` counts every bad row's reason and
+        raises; ``"sanitize"`` substitutes each bad row with the
+        device's current stored position — that device simply does not
+        report this tick — and returns the repaired frame.  A frame
+        whose shape does not match the fleet always raises: it cannot
+        be partially applied.
+        """
+        n, dim = self.n, self.dim
+        if arr.ndim != 2 or arr.shape != (n, dim):
+            self._reject("dimension-mismatch")
+            raise DimensionMismatchError(
+                f"measurement frame shape {arr.shape} incompatible with "
+                f"({n}, {dim})"
+            )
+        bad = self._reject_bad_rows(arr)
+        if not bad.any():
+            return arr
+        if self._config.validation == "strict":
+            raise ConfigurationError(
+                f"measurement frame has {int(bad.sum())} malformed rows "
+                "(NaN/inf/out-of-range) and validation is strict"
+            )
+        repaired = arr.copy()
+        repaired[bad] = self._current_frame()[bad]
+        return repaired
+
+
+class OnlineCharacterizationService(_FrontDoor):
     """Event-driven characterization with incremental verdict refresh.
 
     Parameters
@@ -517,19 +842,9 @@ class OnlineCharacterizationService:
             sinks=sinks,
             tracer=tracer,
         )
-        if detector is not None:
-            self._bank = as_bank(
-                detector, self._store.n, self._store.dim, plane=detection
-            )
-            # Warm-up step 0: the initial snapshot is the bank's first
-            # observation, exactly like the trace replayers' step 0.
-            self._last_detection = self._bank.observe_batch(
-                np.asarray(initial_positions, dtype=float)
-            )
-        elif detection is not None:
-            raise ConfigurationError(
-                "detection plane given without a detector spec or bank"
-            )
+        self._attach_detector(
+            detector, detection, np.asarray(initial_positions, dtype=float)
+        )
 
     @classmethod
     def _from_store(
@@ -555,20 +870,7 @@ class OnlineCharacterizationService:
         sinks: Iterable[Callable[["OnlineTick"], None]],
         tracer: Optional[Tracer],
     ) -> None:
-        self._config = config
-        self._tracer = tracer if tracer is not None else Tracer()
-        registry = self._tracer.registry
-        self._gauge_queue_depth = registry.gauge(
-            "repro_service_queue_depth",
-            "Ingest-queue backlog observed at each tick close",
-        )
-        self._gauge_devices = registry.gauge(
-            "repro_service_devices", "Devices tracked by the store"
-        )
-        self._gauge_flagged = registry.gauge(
-            "repro_service_flagged_devices",
-            "Devices flagged at the latest tick",
-        )
+        self._init_front_door(config, sinks=sinks, tracer=tracer)
         cfg = self._config
         self._store = store
         self._tracker = DirtyRegionTracker(
@@ -585,16 +887,8 @@ class OnlineCharacterizationService:
                 dispatch_deadline=cfg.dispatch_deadline,
             )
         )
-        self._bank: Optional[DetectorBank] = None
-        self._last_detection: Optional[BankDetection] = None
-        self._queue: Deque[QosUpdate] = deque()
-        # Updates applied since the last end_tick — includes inline
-        # drains forced by "block" backpressure, so per-tick accounting
-        # never undercounts.
-        self._applied_since_tick = 0
         # Rows whose verdict-code column entries are currently set.
         self._verdict_rows: Optional[np.ndarray] = None
-        self._sinks: List[Callable[[OnlineTick], None]] = list(sinks)
         # The tick pipeline: every span name the tracer emits is a real
         # stage object (see repro.online.stages).  The stages own the
         # cross-tick state the inline code used to keep on the service —
@@ -602,13 +896,6 @@ class OnlineCharacterizationService:
         # verdict cache and motion-cache carry on the verdict stage —
         # and read the store/tracker/engine through the service, so a
         # checkpoint restore that swaps the store is seen everywhere.
-        self._ingest_stage = IngestDrainStage(
-            lambda: self._apply_batch(
-                self._config.max_batch or len(self._queue)
-            ),
-            lambda: len(self._queue),
-        )
-        self._detect_stage = DetectStage(lambda: self._bank)
         self._index_stage = IndexUpdateStage(self)
         self._dirty_stage = DirtyRegionStage(self)
         self._transition_stage = TransitionBuildStage(
@@ -620,30 +907,13 @@ class OnlineCharacterizationService:
             reuse_motions=cfg.reuse_motions,
             transition_source=self._transition_stage,
         )
-        self._sink_stage = SinkStage(self._sinks)
         self._pipeline = TickPipeline(
             [self._dirty_stage, self._transition_stage, self._verdict_stage]
-        )
-        self._tick = 0
-        self._closed = False
-        self.stats = ServiceStats()
-        #: Rejected-input tally by reason (mirrored to the registry
-        #: counter ``repro_service_rejected_total{reason}``).
-        self.rejected: Dict[str, int] = {}
-        self._rejected_counter = registry.counter(
-            "repro_service_rejected_total",
-            "Malformed inputs rejected by the service, by reason",
-            labelnames=("reason",),
         )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> ServiceConfig:
-        """The service configuration."""
-        return self._config
-
     @property
     def store(self) -> DeviceStateStore:
         """The sharded device-state store."""
@@ -728,31 +998,6 @@ class OnlineCharacterizationService:
         self._transition_stage.chain_serial = value
 
     @property
-    def current_tick(self) -> int:
-        """Number of completed ticks."""
-        return self._tick
-
-    @property
-    def bank(self) -> Optional[DetectorBank]:
-        """The in-service detector bank (None without a ``detector``)."""
-        return self._bank
-
-    @property
-    def last_detection(self) -> Optional[BankDetection]:
-        """The bank's most recent batch detection, if any."""
-        return self._last_detection
-
-    @property
-    def queued(self) -> int:
-        """Events currently waiting in the ingest queue."""
-        return len(self._queue)
-
-    @property
-    def tracer(self) -> Tracer:
-        """The stage-span tracer timing this service's tick pipeline."""
-        return self._tracer
-
-    @property
     def verdicts(self) -> Dict[int, Characterization]:
         """The current verdict map (flagged devices only; a copy)."""
         return dict(self._verdicts)
@@ -760,10 +1005,6 @@ class OnlineCharacterizationService:
     def flagged_devices(self) -> Tuple[int, ...]:
         """Currently flagged devices, sorted."""
         return self._store.flagged_devices()
-
-    def add_sink(self, sink: Callable[[OnlineTick], None]) -> None:
-        """Attach a sink called with every finished :class:`OnlineTick`."""
-        self._sinks.append(sink)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -781,12 +1022,6 @@ class OnlineCharacterizationService:
         self._closed = True
         if self._owns_engine:
             self._engine.close()
-
-    def __enter__(self) -> "OnlineCharacterizationService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def checkpoint(self, path, *, extra: Optional[Dict[str, object]] = None):
         """Write an atomic checkpoint of this service to ``path``.
@@ -822,126 +1057,6 @@ class OnlineCharacterizationService:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def ingest(self, update: QosUpdate) -> bool:
-        """Enqueue one event; returns False iff it displaced older work.
-
-        At capacity, the configured backpressure policy decides: apply
-        queued updates inline (``block``), drop the oldest queued event
-        (``drop-oldest``), or refuse (``error``).
-        """
-        cfg = self._config
-        accepted = True
-        if len(self._queue) >= cfg.queue_capacity:
-            if cfg.backpressure == "error":
-                raise QueueFullError(
-                    f"ingest queue is at capacity ({cfg.queue_capacity})"
-                )
-            if cfg.backpressure == "drop-oldest":
-                self._queue.popleft()
-                self.stats.updates_dropped += 1
-                accepted = False
-            else:  # block: make room by doing the consumer's work now
-                with self._tracer.span("ingest-drain"):
-                    self._apply_batch(cfg.max_batch or len(self._queue))
-                self.stats.inline_drains += 1
-        self._queue.append(update)
-        return accepted
-
-    def ingest_many(self, updates: Iterable[QosUpdate]) -> int:
-        """Enqueue a batch; returns how many were accepted cleanly."""
-        return sum(1 for update in updates if self.ingest(update))
-
-    def _apply_batch(self, limit: int) -> int:
-        """Pop up to ``limit`` events, apply them as vectorized row batches.
-
-        :meth:`DeviceStateStore.apply_rows` needs unique rows, so the
-        batch is split into order-preserving segments at each repeated
-        device: within and across segments arrival order is preserved,
-        so last-write-wins semantics hold and every intermediate state
-        still marks the dirty tracker (a device hopping A→B→C dirties
-        all three cells, exactly as the per-update path did).
-        """
-        batch: List[QosUpdate] = []
-        while self._queue and len(batch) < limit:
-            batch.append(self._queue.popleft())
-        if not batch:
-            return 0
-        start = 0
-        seen = set()
-        applied = 0
-        for i, update in enumerate(batch):
-            if update.device in seen:
-                applied += self._apply_segment(batch[start:i])
-                start = i
-                seen = set()
-            seen.add(update.device)
-        applied += self._apply_segment(batch[start:])
-        # Rejected events are tallied separately — only events that
-        # actually landed in the store count as applied.
-        self.stats.updates_applied += applied
-        self._applied_since_tick += applied
-        return len(batch)
-
-    def _reject(self, reason: str, count: int = 1) -> None:
-        """Count ``count`` rejected inputs under ``reason``."""
-        if count <= 0:
-            return
-        self.rejected[reason] = self.rejected.get(reason, 0) + count
-        self._rejected_counter.labels(reason=reason).inc(count)
-
-    def _apply_segment(self, segment: List[QosUpdate]) -> int:
-        """Apply one duplicate-free event run as a single row batch.
-
-        Malformed events are dropped *per event*, counted on
-        ``repro_service_rejected_total{reason}``: an unknown device id,
-        a position of the wrong dimension, a non-finite coordinate or
-        one outside the unit cube must not crash the tick (or desync
-        the store) for every well-formed report in the same batch.
-        Returns how many events actually landed in the store.
-        """
-        store = self._store
-        dim = store.dim
-        rows: List[int] = []
-        kept: List[QosUpdate] = []
-        for update in segment:
-            row = store.row_if_present(update.device)
-            if row is None:
-                self._reject("unknown-device")
-                continue
-            if len(update.position) != dim:
-                self._reject("dimension-mismatch")
-                continue
-            rows.append(row)
-            kept.append(update)
-        if not kept:
-            return 0
-        positions = np.array([update.position for update in kept], dtype=float)
-        nan_bad = np.isnan(positions).any(axis=1)
-        inf_bad = np.isinf(positions).any(axis=1)
-        finite = ~(nan_bad | inf_bad)
-        range_bad = finite & (
-            (positions < 0.0).any(axis=1) | (positions > 1.0).any(axis=1)
-        )
-        self._reject("nan", int(nan_bad.sum()))
-        self._reject("inf", int(inf_bad.sum()))
-        self._reject("out-of-range", int(range_bad.sum()))
-        good = finite & ~range_bad
-        if not good.all():
-            idx = np.nonzero(good)[0]
-            if idx.size == 0:
-                return 0
-            positions = positions[idx]
-            rows = [rows[i] for i in idx.tolist()]
-            kept = [kept[i] for i in idx.tolist()]
-        count = len(kept)
-        rows_arr = np.asarray(rows, dtype=np.int64)
-        flags = np.fromiter(
-            (update.flagged for update in kept), dtype=bool, count=count
-        )
-        applied = store.apply_rows(rows_arr, positions, flags)
-        self._tracker.mark_batch(applied, was_relevant=applied.was_flagged)
-        return count
-
     def feed_snapshot(
         self, current: np.ndarray, flags: Iterable[bool]
     ) -> OnlineTick:
@@ -980,62 +1095,15 @@ class OnlineCharacterizationService:
             self._applied_since_tick += applied_rows
         return self.end_tick()
 
-    def feed_measurements(self, values: np.ndarray) -> OnlineTick:
-        """One tick from raw QoS vectors: the service detects, then flags.
+    def _locate(self, device: int) -> Optional[int]:
+        return self._store.row_if_present(device)
 
-        Requires a ``detector`` at construction.  The bank observes the
-        ``(n, d)`` snapshot (one vectorized update for the whole fleet),
-        its flag vector joins the positions in :meth:`feed_snapshot`,
-        and the resulting flag *diffs* drive the usual dirty-region
-        invalidation — callers ship measurements, not verdicts.
-        """
-        self._detect_stage.require_bank()
-        arr = np.asarray(values, dtype=float)
-        injector = get_injector()
-        if injector.active:
-            arr = injector.corrupt_frame(self._tick + 1, arr)
-        arr = self._validate_frame(arr)
-        detection = self._detect_stage.observe(arr, self._tracer)
-        self._last_detection = detection
-        return self.feed_snapshot(arr, detection.flags)
+    def _apply_rows(self, where, ids, positions, flags) -> None:
+        applied = self._store.apply_rows(where, positions, flags)
+        self._tracker.mark_batch(applied, was_relevant=applied.was_flagged)
 
-    def _validate_frame(self, arr: np.ndarray) -> np.ndarray:
-        """Apply the configured validation mode to one raw QoS frame.
-
-        Runs *before* the detector bank observes anything, so a
-        rejected frame can never leave the bank one observation ahead
-        of the store.  ``"strict"`` counts every bad row's reason and
-        raises; ``"sanitize"`` substitutes each bad row with the
-        device's current stored position — that device simply does not
-        report this tick — and returns the repaired frame.  A frame
-        whose shape does not match the fleet always raises: it cannot
-        be partially applied.
-        """
-        n, dim = self._store.n, self._store.dim
-        if arr.ndim != 2 or arr.shape != (n, dim):
-            self._reject("dimension-mismatch")
-            raise DimensionMismatchError(
-                f"measurement frame shape {arr.shape} incompatible with "
-                f"({n}, {dim})"
-            )
-        nan_bad = np.isnan(arr).any(axis=1)
-        inf_bad = np.isinf(arr).any(axis=1)
-        finite = ~(nan_bad | inf_bad)
-        range_bad = finite & ((arr < 0.0).any(axis=1) | (arr > 1.0).any(axis=1))
-        bad = ~finite | range_bad
-        if not bad.any():
-            return arr
-        self._reject("nan", int(nan_bad.sum()))
-        self._reject("inf", int(inf_bad.sum()))
-        self._reject("out-of-range", int(range_bad.sum()))
-        if self._config.validation == "strict":
-            raise ConfigurationError(
-                f"measurement frame has {int(bad.sum())} malformed rows "
-                "(NaN/inf/out-of-range) and validation is strict"
-            )
-        repaired = arr.copy()
-        repaired[bad] = self._store.current_positions()[bad]
-        return repaired
+    def _current_frame(self) -> np.ndarray:
+        return self._store.current_positions()
 
     # ------------------------------------------------------------------
     # Tick processing

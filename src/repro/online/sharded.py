@@ -30,15 +30,14 @@ devices just across its borders — the **halo**.  Per tick:
    affected set from the global union against its own index;
 3. **halo exchange** — each shard publishes the ``(prev, cur)`` rows of
    its flagged devices within ``halo_rings`` cells of its box boundary
-   through a :class:`~repro.engine.backends._SnapshotRing` (the same
-   double-buffered shared-memory publication path the worker pool uses);
-   consumers take the bands whose cells lie within ``halo_rings``
+   through a :class:`~repro.ipc.SnapshotRing` (the same double-buffered
+   shared-memory publication path the worker pool uses); consumers
+   take, seq-gated, the bands whose cells lie within ``halo_rings``
    *outside* their own box;
 4. **local pipelines** — each shard runs a
    :class:`~repro.online.stages.TickPipeline` of a halo-aware
    transition-build stage plus the standard
-   :class:`~repro.online.stages.VerdictStage`, optionally across a
-   thread pool;
+   :class:`~repro.online.stages.VerdictStage`;
 5. **merge** — verdicts (already remapped to global ids), flagged sets,
    stats and stage timings are merged into one ordinary
    :class:`~repro.online.service.OnlineTick` for the sinks.
@@ -64,20 +63,23 @@ either geometric or lexicographic in device ids, and lexicographic
 comparisons are invariant under monotone relabelling.  The randomized
 equivalence suite (``tests/online/test_sharded.py``) pins this down,
 churn and shard-crossing movers included.
+
+Every step is one phase of a single command protocol
+(:func:`repro.online.procshard.handle_command`), driven by one phase
+loop over per-shard handles.  ``topology_workers`` picks only the
+handle: ``"thread"`` runs each shard in the front door's process
+(:class:`~repro.online.procshard._InlineShardHandle`), ``"process"`` in
+a forked child (:class:`~repro.online.procshard._ProcessShardHandle`).
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from collections import deque
 from multiprocessing import shared_memory
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Iterable,
     List,
@@ -89,18 +91,13 @@ from typing import (
 
 import numpy as np
 
-from repro.core.errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    QueueFullError,
-)
+from repro.core.errors import ConfigurationError, DimensionMismatchError
 from repro.core.transition import Transition
 from repro.core.types import Characterization
-from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
+from repro.detection.banks import DetectorLike
 from repro.engine import CharacterizationEngine, EngineConfig
 from repro.ipc import (
     ShardRoundtripError,
-    ShmPlanes,
     SnapshotRing,
     StaleHaloError,
     unlink_by_name,
@@ -114,30 +111,21 @@ from repro.online.procshard import (
     _InlineShardHandle,
     _mark_recovered,
     _serial_config,
-    handle_command,
     start_process_shards,
 )
 from repro.online.service import (
     _VERDICT_CODE,
     OnlineTick,
-    QosUpdate,
     ServiceConfig,
-    ServiceStats,
+    _FrontDoor,
 )
 from repro.online.stages import (
     IndexUpdateStage,
-    IngestDrainStage,
-    SinkStage,
     TickContext,
     TickPipeline,
     VerdictStage,
 )
-from repro.online.store import (
-    NO_VERDICT,
-    DeviceStateStore,
-    attach_store_planes,
-    store_plane_fields,
-)
+from repro.online.store import DeviceStateStore, attach_store_planes
 from repro.robust.chaos import get_injector
 
 __all__ = [
@@ -317,15 +305,13 @@ class _HaloChannel:
     segments the process pool publishes transitions through
     (:meth:`~repro.ipc.SnapshotRing.publish_pair`); the global ids and
     cell keys of the published rows stay in process memory alongside
-    (they are small, and in the process topology they travel up the
-    pipe inside :meth:`meta`).  A 16-byte header segment carries
-    ``(seq, rows)``; the sequence slot is written strictly *after* the
-    payload, so a cross-process consumer that observes the expected
-    sequence before copying knows the band is complete, and one that
-    re-observes it after copying knows the band was not overwritten
-    mid-read.  In-process readers resolve the segment names against the
-    ring's own handles — same process, no re-attach — and gate on the
-    remembered sequence instead.
+    (they are small, and travel to the front door inside :meth:`meta`).
+    A 16-byte header segment carries ``(seq, rows)``; the sequence slot
+    is written strictly *after* the payload, so a consumer that
+    observes the expected sequence before copying knows the band is
+    complete, and one that re-observes it after copying knows the band
+    was not overwritten mid-read
+    (:func:`repro.online.procshard._read_halo_sources`, the one reader).
     """
 
     def __init__(self) -> None:
@@ -387,37 +373,6 @@ class _HaloChannel:
             "keys": self.keys,
             "live": live,
         }
-
-    def _segment(self, name: str):
-        for seg in (*self._ring.slots, self._ring.prev_seg):
-            if seg is not None and seg.name == name:
-                return seg
-        raise ConfigurationError(
-            f"halo segment {name!r} is not live on this ring"
-        )  # pragma: no cover - protocol violation
-
-    def read(
-        self, *, expected_seq: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The published ``(prev, cur)`` band, copied out of the ring."""
-        if expected_seq is not None and self._seq != int(expected_seq):
-            raise StaleHaloError(
-                f"halo band holds seq {self._seq}, expected {expected_seq}"
-            )
-        rows, dim = self._shape
-        if self._names is None or rows == 0:
-            empty = np.empty((0, dim), dtype=np.float64)
-            return empty, empty
-        count = rows * dim
-        out = []
-        for name in self._names:
-            seg = self._segment(name)
-            out.append(
-                np.frombuffer(seg.buf, dtype=np.float64, count=count)
-                .reshape(rows, dim)
-                .copy()
-            )
-        return out[0], out[1]
 
     def close(self) -> None:
         self._ring.drop_segments()
@@ -582,10 +537,10 @@ class _ShardWorker:
     ``planes_factory`` backs the store with shared-memory planes (the
     process topology's kill-survivable partition); ``store`` hands in a
     pre-built store (a respawned child adopting its predecessor's
-    planes, or a degraded inline fallback); ``defer_advance`` makes
-    :meth:`run_tick` leave the snapshot roll to the *next* tick's first
-    mutating command, so a mid-verdict kill always leaves the planes
-    holding a consistent ``(S_{k-1}, S_k)`` pair.
+    planes, or a degraded inline fallback).  :meth:`run_tick` leaves
+    the snapshot roll to the *next* tick's first mutating command, so a
+    mid-verdict kill always leaves the planes holding a consistent
+    ``(S_{k-1}, S_k)`` pair.
     """
 
     def __init__(
@@ -598,11 +553,9 @@ class _ShardWorker:
         tracer: Tracer,
         *,
         planes_factory=None,
-        defer_advance: bool = False,
         store: Optional[DeviceStateStore] = None,
     ) -> None:
         self.shard = int(shard)
-        self._defer_advance = bool(defer_advance)
         cfg = config
         if store is not None:
             self.store = store
@@ -656,15 +609,8 @@ class _ShardWorker:
     def publish_halo(self, boundary: "ShardMap", *, seq: int = 0) -> None:
         """Publish this shard's boundary band of flagged rows.
 
-        ``seq`` (the tick number) gates the consumers' reads; the chaos
-        injector can stall the publish here, which must delay only the
-        consumers' seq-gated barrier, never hand them a stale band.
+        ``seq`` (the tick number) gates the consumers' reads.
         """
-        injector = get_injector()
-        if injector.active:
-            stall = injector.halo_publish(int(seq), self.shard)
-            if stall:
-                time.sleep(stall)
         store = self.store
         rows = store.flagged_rows()
         if rows.size:
@@ -681,11 +627,9 @@ class _ShardWorker:
         )
 
     def run_tick(self, ctx: TickContext) -> TickContext:
-        """Run the local pipeline, record codes, roll the snapshots."""
+        """Run the local pipeline and record the verdict codes."""
         self.pipeline.run(ctx, self.tracer)
         self._record_verdict_codes(ctx)
-        if not self._defer_advance:
-            self.store.advance_tick()
         return ctx
 
     def _record_verdict_codes(self, ctx: TickContext) -> None:
@@ -724,10 +668,9 @@ class _ShardWorker:
 def _ctx_result(worker: _ShardWorker, ctx: TickContext) -> Dict[str, Any]:
     """One shard's tick outcome as a plain, picklable result dict.
 
-    The single merge currency of both topologies: thread-mode workers
-    produce it in the parent, process-mode children produce it in
-    :func:`repro.online.procshard.handle_command` and ship it up the
-    pipe — so the front door's merge loop cannot diverge between modes.
+    The merge currency of the ``verdict`` command
+    (:func:`repro.online.procshard.handle_command`), whether the shard
+    runs in the front door's process or ships it up a child's pipe.
     Verdict maps are already keyed by global ids; local ranks are
     translated through ``ctx.key_of`` here, before the context dies.
     """
@@ -752,7 +695,7 @@ def _ctx_result(worker: _ShardWorker, ctx: TickContext) -> Dict[str, Any]:
     }
 
 
-class ShardedService:
+class ShardedService(_FrontDoor):
     """Front door over ``topology_shards`` spatial shard workers.
 
     Speaks the single service's driver API — :meth:`ingest`,
@@ -763,6 +706,10 @@ class ShardedService:
     :class:`~repro.online.service.OnlineCharacterizationService` over
     the same stream would produce.  ``OnlineTick.transition`` is
     ``None``: there is no global transition object, only per-shard ones.
+
+    Every shard sits behind a handle speaking one command protocol
+    (:func:`repro.online.procshard.handle_command`), and one phase loop
+    drives them all; the topology only picks the handle type.
 
     Parameters
     ----------
@@ -777,20 +724,17 @@ class ShardedService:
     topology_shards:
         Number of spatial shards tiling the unit cube.
     topology_workers:
-        ``"thread"`` (default) runs shard pipelines on an in-process
-        thread pool; ``"process"`` hosts each shard in a supervised
-        long-lived daemonic process whose store partition lives in
-        shared-memory planes — the wall-clock-scaling topology (thread
-        shards share the GIL and anti-scale).
+        ``"thread"`` (default) runs every shard inside the front door's
+        process, one after another, each on the caller's engine
+        configuration (an engine may itself be a process pool);
+        ``"process"`` hosts each shard in a supervised long-lived
+        daemonic process whose store partition lives in shared-memory
+        planes — the wall-clock-scaling topology.
     min_shard_devices:
         When positive, collapse the topology so every shard starts with
         at least this many devices (a shard below it pays more in halo
         exchange and fixed per-tick overhead than it wins back); emits a
         :class:`RuntimeWarning` naming the collapsed shard count.
-    parallel:
-        Run the per-shard pipelines on a thread pool (per-shard engines
-        may themselves be process pools for multi-core scaling).
-        Ignored under the process topology, which is always parallel.
     """
 
     def __init__(
@@ -801,14 +745,12 @@ class ShardedService:
         topology_shards: int = 4,
         topology_workers: str = "thread",
         min_shard_devices: int = 0,
-        parallel: bool = True,
         sinks: Iterable[Callable[[OnlineTick], None]] = (),
         detector: Optional[DetectorLike] = None,
         detection: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self._config = config or ServiceConfig()
-        cfg = self._config
+        cfg = config or ServiceConfig()
         if topology_workers not in ("thread", "process"):
             raise ConfigurationError(
                 f"topology_workers must be 'thread' or 'process', "
@@ -832,19 +774,9 @@ class ShardedService:
                     stacklevel=2,
                 )
                 topology_shards = cap
-        self._tracer = tracer if tracer is not None else Tracer()
+        self._init_front_door(cfg, sinks=sinks, tracer=tracer)
+        self._attach_detector(detector, detection, pts)
         registry = self._tracer.registry
-        self._gauge_queue_depth = registry.gauge(
-            "repro_service_queue_depth",
-            "Ingest-queue backlog observed at each tick close",
-        )
-        self._gauge_devices = registry.gauge(
-            "repro_service_devices", "Devices tracked by the store"
-        )
-        self._gauge_flagged = registry.gauge(
-            "repro_service_flagged_devices",
-            "Devices flagged at the latest tick",
-        )
         self._gauge_shard_devices = registry.gauge(
             "repro_shard_devices",
             "Devices resident per spatial shard",
@@ -886,89 +818,47 @@ class ShardedService:
         )
         keys = np.floor(pts / cfg.cell).astype(np.int64)
         owners = self._map.shard_of_keys(keys)
-        self._workers: List[_ShardWorker] = []
-        self._handles: List[Any] = []
-        self._board: Optional[_FrameBoard] = None
+        self._board = _FrameBoard()
         self._orphans: List[str] = []
+        self._degraded = 0
         self._respawned_since_dirty = False
         self._prev_dirty: Tuple[CellKey, ...] = ()
         self._mover_cells: Set[CellKey] = set()
         self._mover_carry: Set[CellKey] = set()
         self._shard_flagged: List[int] = [0] * self._map.n_shards
+        partitions = []
+        for shard in range(self._map.n_shards):
+            mask = owners == shard
+            partitions.append(
+                (pts[mask], np.nonzero(mask)[0].astype(np.int64))
+            )
+        self._handles: List[Any]
         if self._process:
-            self._board = _FrameBoard()
-            partitions = []
-            for shard in range(self._map.n_shards):
-                mask = owners == shard
-                partitions.append((pts[mask], np.nonzero(mask)[0].astype(np.int64)))
             self._handles = start_process_shards(
                 cfg, self._dim, self._map, partitions, self._tracer.enabled
             )
         else:
-            for shard in range(self._map.n_shards):
-                mask = owners == shard
-                ids = np.nonzero(mask)[0].astype(np.int64)
-                self._workers.append(
+            self._handles = [
+                _InlineShardHandle(
                     _ShardWorker(
                         shard,
-                        pts[mask],
+                        positions,
                         ids,
                         self._dim,
                         cfg,
                         Tracer(registry, enabled=self._tracer.enabled),
-                    )
+                    ),
+                    self._map,
                 )
+                for shard, (positions, ids) in enumerate(partitions)
+            ]
         self._owner: Dict[int, int] = dict(
             zip(range(owners.shape[0]), owners.tolist())
-        )
-        self._bank: Optional[DetectorBank] = None
-        self._last_detection: Optional[BankDetection] = None
-        if detector is not None:
-            self._bank = as_bank(detector, pts.shape[0], self._dim, plane=detection)
-            self._last_detection = self._bank.observe_batch(pts)
-        elif detection is not None:
-            raise ConfigurationError(
-                "detection plane given without a detector spec or bank"
-            )
-        self._queue: Deque[QosUpdate] = deque()
-        self._applied_since_tick = 0
-        self._sinks: List[Callable[[OnlineTick], None]] = list(sinks)
-        self._ingest_stage = IngestDrainStage(
-            lambda: self._apply_batch(
-                self._config.max_batch or len(self._queue)
-            ),
-            lambda: len(self._queue),
-        )
-        self._sink_stage = SinkStage(self._sinks)
-        self._parallel = (
-            bool(parallel) and self._map.n_shards > 1 and not self._process
-        )
-        self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=self._map.n_shards,
-                thread_name_prefix="repro-shard",
-            )
-            if self._parallel
-            else None
-        )
-        self._tick = 0
-        self._closed = False
-        self.stats = ServiceStats()
-        self.rejected: Dict[str, int] = {}
-        self._rejected_counter = registry.counter(
-            "repro_service_rejected_total",
-            "Malformed inputs rejected by the service, by reason",
-            labelnames=("reason",),
         )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> ServiceConfig:
-        """The (per-shard) service configuration."""
-        return self._config
-
     @property
     def topology(self) -> ShardMap:
         """The cell→shard tiling of the unit cube."""
@@ -986,20 +876,26 @@ class ShardedService:
 
     @property
     def workers(self) -> Tuple[_ShardWorker, ...]:
-        """The per-shard workers (thread topology; empty under process)."""
-        return tuple(self._workers)
+        """The shard workers running in this process, in shard order.
+
+        Every shard's under the thread topology; under the process
+        topology, only those degraded to the in-parent fallback.
+        """
+        return tuple(
+            handle.inner
+            for handle in self._handles
+            if isinstance(handle, _InlineShardHandle)
+        )
 
     @property
     def handles(self) -> Tuple[Any, ...]:
-        """The per-shard process handles (process topology; else empty)."""
+        """The per-shard handles the phase loop drives, in shard order."""
         return tuple(self._handles)
 
     @property
     def n(self) -> int:
         """Number of live devices across every shard."""
-        if self._process:
-            return sum(handle.n for handle in self._handles)
-        return sum(worker.store.n for worker in self._workers)
+        return sum(handle.n for handle in self._handles)
 
     @property
     def dim(self) -> int:
@@ -1014,18 +910,7 @@ class ShardedService:
         from the capacity echoed in every reply header), so no
         roundtrip is needed.
         """
-        if self._process:
-            fields = store_plane_fields(self._dim)
-            total = 0
-            for handle in self._handles:
-                if isinstance(handle, _InlineShardHandle):
-                    total += handle.inner.store.nbytes
-                else:
-                    total += ShmPlanes.required_bytes(
-                        handle.plane_capacity, fields
-                    )
-            return total
-        return sum(worker.store.nbytes for worker in self._workers)
+        return sum(handle.nbytes for handle in self._handles)
 
     @property
     def bytes_per_device(self) -> float:
@@ -1033,55 +918,22 @@ class ShardedService:
         return self.nbytes / max(1, self.n)
 
     @property
-    def current_tick(self) -> int:
-        """Number of completed ticks."""
-        return self._tick
-
-    @property
-    def queued(self) -> int:
-        """Events currently waiting in the front-door queue."""
-        return len(self._queue)
-
-    @property
-    def tracer(self) -> Tracer:
-        """The front-door tracer (workers own per-shard tracers)."""
-        return self._tracer
-
-    @property
-    def bank(self) -> Optional[DetectorBank]:
-        """The front-door detector bank (None without a ``detector``)."""
-        return self._bank
-
-    @property
-    def last_detection(self) -> Optional[BankDetection]:
-        """The bank's most recent batch detection, if any."""
-        return self._last_detection
-
-    @property
     def verdicts(self) -> Dict[int, Characterization]:
         """The merged verdict map across shards (a copy)."""
         merged: Dict[int, Characterization] = {}
-        if self._process:
-            for cache in self._query("verdicts"):
-                merged.update(cache)
-            return merged
-        for worker in self._workers:
-            merged.update(worker.verdict_stage.cache)
+        for cache in self._query("verdicts"):
+            merged.update(cache)
         return merged
 
     def flagged_devices(self) -> Tuple[int, ...]:
         """Currently flagged devices across every shard, sorted."""
         out: List[int] = []
-        if self._process:
-            for part in self._query("flagged"):
-                out.extend(part)
-        else:
-            for worker in self._workers:
-                out.extend(worker.store.flagged_devices())
+        for part in self._query("flagged"):
+            out.extend(part)
         return tuple(sorted(out))
 
     def shard_flagged_counts(self) -> Tuple[int, ...]:
-        """Verdict targets per shard at the latest tick (both modes)."""
+        """Verdict targets per shard at the latest tick."""
         return tuple(self._shard_flagged)
 
     def shard_of(self, device: int) -> int:
@@ -1093,34 +945,23 @@ class ShardedService:
 
     def shard_sizes(self) -> Tuple[int, ...]:
         """Resident device count per spatial shard."""
-        if self._process:
-            return tuple(handle.n for handle in self._handles)
-        return tuple(worker.store.n for worker in self._workers)
-
-    def add_sink(self, sink: Callable[[OnlineTick], None]) -> None:
-        """Attach a sink called with every finished :class:`OnlineTick`."""
-        self._sinks.append(sink)
+        return tuple(handle.n for handle in self._handles)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release every shard's engine, halo ring and the thread pool."""
+        """Stop every shard and release the shared-memory segments."""
         if self._closed:
             return
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        for worker in self._workers:
-            worker.close()
         for handle in self._handles:
             handle.shutdown()
-        if self._board is not None:
-            self._board.close()
+        self._board.close()
         self._drain_orphans()
 
     # ------------------------------------------------------------------
-    # Process-topology supervision
+    # The shard protocol and its supervision
     # ------------------------------------------------------------------
     def _phase(
         self, msgs: List[Optional[tuple]], *, chaos: bool = False
@@ -1128,19 +969,17 @@ class ShardedService:
         """One scatter/collect roundtrip; ``None`` skips that shard.
 
         All commands go down every pipe before any reply is awaited —
-        the shards run the phase concurrently and the parent blocks on
-        the slowest.  A child-side error is re-raised only after *every*
-        outstanding reply is drained, so one failing shard never leaves
-        another's reply stranded in a pipe to desynchronize the next
-        phase.
+        process shards run the phase concurrently and the parent blocks
+        on the slowest; in-parent shards run it one after another at
+        collect time.  A shard-side error is re-raised only after
+        *every* outstanding reply is drained, so one failing shard never
+        leaves another's reply stranded in a pipe to desynchronize the
+        next phase.  ``chaos`` lets process handles consult the
+        injector's dispatch faults.
         """
         for handle, msg in zip(self._handles, msgs):
-            if msg is None:
-                continue
-            if chaos:
-                self._send_with_chaos(handle, msg)
-            else:
-                handle.send(msg)
+            if msg is not None:
+                handle.send(msg, chaos=chaos)
         results: List[Any] = [None] * len(msgs)
         error: Optional[BaseException] = None
         for shard, msg in enumerate(msgs):
@@ -1168,12 +1007,13 @@ class ShardedService:
         """Await one shard's reply, supervising the roundtrip.
 
         A dead or deadline-missing child is respawned against its
-        surviving shm planes and the last *canonical* command is resent,
-        up to ``dispatch_retries`` times; after that the shard degrades
-        to an in-parent serial worker running the same command handler
+        surviving shm planes and the last command is resent, up to
+        ``dispatch_retries`` times; after that the shard degrades to an
+        in-parent serial worker running the same command handler
         (degraded, never divergent).  Error replies from a *healthy*
         child are protocol answers, not faults — they map back to the
-        original exception class and are never retried.
+        original exception class and are never retried.  In-parent
+        shards never fail a roundtrip; their errors raise directly.
         """
         deadline = self._config.dispatch_deadline
         retries = self._config.dispatch_retries
@@ -1200,55 +1040,19 @@ class ShardedService:
             exc_cls = _CHILD_ERRORS.get(exc_name, RuntimeError)
             raise exc_cls(f"shard {shard} worker command failed:\n{tb}")
 
-    def _send_with_chaos(self, handle: Any, msg: tuple) -> None:
-        """Ship one verdict command through the chaos injector.
-
-        Reuses the pool-dispatch fault vocabulary keyed on (tick,
-        shard): ``kill`` strikes before the send (dispatch meets a dead
-        worker), ``kill_after`` right after (EOF mid-task); drop/hang
-        decorate the payload with flags only the child's *pipe loop*
-        honors — the canonical, undecorated command is what supervision
-        remembers and resends, so a retry replays the intended work.
-        """
-        injector = get_injector()
-        action = (
-            injector.pool_dispatch(int(msg[1]), handle.shard)
-            if injector.active
-            else None
-        )
-        if action is None:
-            handle.send(msg)
-            return
-        if action.delay:
-            time.sleep(action.delay)
-        if action.kill:
-            handle.terminate_child()
-        decorated = msg
-        if action.drop_reply or action.hang:
-            op, tick, payload = msg
-            payload = dict(payload)
-            if action.drop_reply:
-                payload["_drop_reply"] = True
-            if action.hang:
-                payload["_hang"] = action.hang
-            decorated = (op, tick, payload)
-        handle.send(decorated, canonical=msg)
-        if action.kill_after:
-            handle.terminate_child()
-
     def _note_respawn(self, shard: int, orphans: Iterable[str]) -> None:
         self._orphans.extend(orphans)
         self._respawned_since_dirty = True
         self._counter_respawns.labels(shard=str(shard)).inc()
 
     def _fallback_inline(self, shard: int) -> None:
-        """Degrade ``shard`` to an in-parent serial worker.
+        """Degrade process ``shard`` to an in-parent serial worker.
 
         The dead child's shm planes are adopted, copied onto the heap
-        (releasing the segments), and wrapped in a fresh deferred-advance
-        worker with conservatively invalidated caches; the in-flight
-        command is re-queued on the inline handle so the caller's
-        ``recv`` loop re-executes it locally.
+        (releasing the segments), and wrapped in a fresh worker with
+        conservatively invalidated caches; the in-flight command is
+        re-queued on the inline handle so the caller's ``recv`` loop
+        re-executes it locally.
         """
         handle = self._handles[shard]
         msg = handle.last_msg
@@ -1271,19 +1075,13 @@ class ShardedService:
             _serial_config(cfg),
             Tracer(self._tracer.registry, enabled=self._tracer.enabled),
             store=DeviceStateStore.from_state(state),
-            defer_advance=True,
         )
         _mark_recovered(worker)
         inline = _InlineShardHandle(worker, self._map)
         inline.send(msg)
         self._handles[shard] = inline
-        self._gauge_degraded.set(
-            sum(
-                1
-                for h in self._handles
-                if isinstance(h, _InlineShardHandle)
-            )
-        )
+        self._degraded += 1
+        self._gauge_degraded.set(self._degraded)
 
     def _drain_orphans(self) -> None:
         """Unlink segments orphaned by kills — only after the tick's
@@ -1291,12 +1089,6 @@ class ShardedService:
         for name in self._orphans:
             unlink_by_name(name)
         self._orphans = []
-
-    def __enter__(self) -> "ShardedService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def checkpoint(self, directory, *, extra=None):
         """Write one consistent-cut sharded checkpoint under ``directory``."""
@@ -1314,23 +1106,13 @@ class ShardedService:
     def shard_states(self) -> List[Tuple[Dict, Dict, Dict]]:
         """Per-shard ``(store_state, tracker_state, verdict_cache)``.
 
-        The sharded checkpoint's consistent cut, topology-agnostic:
-        under the process topology the ``state`` command first rolls any
-        deferred tick advance, so the captured states are bit-identical
-        to what the thread topology would hand over between ticks.
+        The sharded checkpoint's consistent cut, topology-agnostic: the
+        ``state`` command first rolls any deferred tick advance, so the
+        captured states are those of the completed tick.
         """
-        if self._process:
-            return self._phase(
-                [("state", self._tick, {}) for _ in range(self._map.n_shards)]
-            )
-        return [
-            (
-                worker.store.state(),
-                worker.tracker.state(),
-                dict(worker.verdict_stage.cache),
-            )
-            for worker in self._workers
-        ]
+        return self._phase(
+            [("state", self._tick, {}) for _ in range(self._map.n_shards)]
+        )
 
     def load_shard_states(self, parts) -> None:
         """Reinstate per-shard states from checkpoint parts, in shard order.
@@ -1339,7 +1121,7 @@ class ShardedService:
         cross-tick perf caches start cold.  The device→shard owner map
         is rebuilt from the parts' id columns at the front door —
         placement is part of the stores' state, never recomputed from
-        positions — so neither topology needs a post-restore roundtrip.
+        positions — so no post-restore roundtrip is needed.
         """
         owner: Dict[int, int] = {}
         for shard, part in enumerate(parts):
@@ -1351,31 +1133,20 @@ class ShardedService:
             ids = np.asarray(part.store_state["id_of"])
             for device in ids[ids >= 0].tolist():
                 owner[int(device)] = shard
-        if self._process:
-            self._phase(
-                [
-                    (
-                        "restore",
-                        0,
-                        {
-                            "store": part.store_state,
-                            "tracker": part.tracker_state,
-                            "verdicts": part.verdicts,
-                        },
-                    )
-                    for part in parts
-                ]
-            )
-        else:
-            for worker, part in zip(self._workers, parts):
-                store = DeviceStateStore.from_state(part.store_state)
-                worker.store = store
-                worker.tracker.restore_state(part.tracker_state)
-                worker.verdict_stage.cache = dict(part.verdicts)
-                worker.verdict_stage.last_cache = None
-                worker.transition_stage.last_transition = None
-                rows = np.nonzero(store.verdict_codes() != NO_VERDICT)[0]
-                worker._verdict_rows = rows if rows.size else None
+        self._phase(
+            [
+                (
+                    "restore",
+                    0,
+                    {
+                        "store": part.store_state,
+                        "tracker": part.tracker_state,
+                        "verdicts": part.verdicts,
+                    },
+                )
+                for part in parts
+            ]
+        )
         self._owner = owner
 
     # ------------------------------------------------------------------
@@ -1391,33 +1162,23 @@ class ShardedService:
         pos = np.asarray(position, dtype=float)
         key = np.floor(pos / self._config.cell).astype(np.int64)
         shard = int(self._map.shard_of_keys(key[None, :])[0])
-        if self._process:
-            self._phase_one(
-                shard,
-                (
-                    "join",
-                    self._tick + 1,
-                    {
-                        "device": device,
-                        "position": pos,
-                        "flagged": bool(flagged),
-                    },
-                ),
-            )
-        else:
-            self._workers[shard].store.join(device, pos, flagged)
+        self._phase_one(
+            shard,
+            (
+                "join",
+                self._tick + 1,
+                {"device": device, "position": pos, "flagged": bool(flagged)},
+            ),
+        )
         self._owner[device] = shard
         return shard
 
     def leave(self, device: int) -> int:
         """Evict a device from its owning shard; returns the shard."""
         shard = self.shard_of(device)
-        if self._process:
-            self._phase_one(
-                shard, ("leave", self._tick + 1, {"device": int(device)})
-            )
-        else:
-            self._workers[shard].store.leave(int(device))
+        self._phase_one(
+            shard, ("leave", self._tick + 1, {"device": int(device)})
+        )
         del self._owner[int(device)]
         return shard
 
@@ -1430,130 +1191,84 @@ class ShardedService:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def ingest(self, update: QosUpdate) -> bool:
-        """Enqueue one event; same backpressure contract as the service."""
-        cfg = self._config
-        accepted = True
-        if len(self._queue) >= cfg.queue_capacity:
-            if cfg.backpressure == "error":
-                raise QueueFullError(
-                    f"ingest queue is at capacity ({cfg.queue_capacity})"
-                )
-            if cfg.backpressure == "drop-oldest":
-                self._queue.popleft()
-                self.stats.updates_dropped += 1
-                accepted = False
-            else:
-                with self._tracer.span("ingest-drain"):
-                    self._apply_batch(cfg.max_batch or len(self._queue))
-                self.stats.inline_drains += 1
-        self._queue.append(update)
-        return accepted
+    def _locate(self, device: int) -> Optional[int]:
+        return self._owner.get(device)
 
-    def ingest_many(self, updates: Iterable[QosUpdate]) -> int:
-        """Enqueue a batch; returns how many were accepted cleanly."""
-        return sum(1 for update in updates if self.ingest(update))
+    def _apply_rows(self, where, ids, positions, flags) -> None:
+        """Ship validated rows to their owning shards, by *global id*.
 
-    def _reject(self, reason: str, count: int = 1) -> None:
-        if count <= 0:
-            return
-        self.rejected[reason] = self.rejected.get(reason, 0) + count
-        self._rejected_counter.labels(reason=reason).inc(count)
-
-    def _apply_batch(self, limit: int) -> int:
-        """Pop up to ``limit`` events and apply them, routed per shard."""
-        batch: List[QosUpdate] = []
-        while self._queue and len(batch) < limit:
-            batch.append(self._queue.popleft())
-        if not batch:
-            return 0
-        start = 0
-        seen: Set[int] = set()
-        applied = 0
-        for i, update in enumerate(batch):
-            if update.device in seen:
-                applied += self._apply_segment(batch[start:i])
-                start = i
-                seen = set()
-            seen.add(update.device)
-        applied += self._apply_segment(batch[start:])
-        self.stats.updates_applied += applied
-        self._applied_since_tick += applied
-        return len(batch)
-
-    def _apply_segment(self, segment: List[QosUpdate]) -> int:
-        """Apply one duplicate-free run, one row batch per owning shard.
-
-        Routing and input validation happen here at the front door in
-        both topologies (identical rejection counters); the thread path
-        then applies rows directly, while the process path ships
-        *global device ids* down the pipes — row numbers are a private
-        concern of whichever child currently hosts the partition.
+        Routing and validation happen here at the front door; row
+        numbers are a private concern of whichever shard currently
+        hosts the partition.
         """
-        dim = self._dim
-        by_shard: Dict[int, List[QosUpdate]] = {}
-        for update in segment:
-            shard = self._owner.get(update.device)
-            if shard is None:
-                self._reject("unknown-device")
-                continue
-            if len(update.position) != dim:
-                self._reject("dimension-mismatch")
-                continue
-            by_shard.setdefault(shard, []).append(update)
-        total = 0
         msgs: List[Optional[tuple]] = [None] * self._map.n_shards
-        for shard, kept in by_shard.items():
-            positions = np.array(
-                [update.position for update in kept], dtype=float
+        for shard in np.unique(where).tolist():
+            mine = where == shard
+            msgs[shard] = (
+                "events",
+                self._tick + 1,
+                {
+                    "ids": ids[mine],
+                    "positions": positions[mine],
+                    "flags": flags[mine],
+                },
             )
-            nan_bad = np.isnan(positions).any(axis=1)
-            inf_bad = np.isinf(positions).any(axis=1)
-            finite = ~(nan_bad | inf_bad)
-            range_bad = finite & (
-                (positions < 0.0).any(axis=1) | (positions > 1.0).any(axis=1)
+        self._phase(msgs)
+
+    def _current_frame(self) -> np.ndarray:
+        """Current positions gathered into one global-id-indexed frame."""
+        frame = np.zeros((self.n, self._dim), dtype=float)
+        for ids, positions in self._query("frame"):
+            if ids.size:
+                frame[ids] = positions
+        return frame
+
+    def feed_snapshot(
+        self, current: np.ndarray, flags: Iterable[bool]
+    ) -> OnlineTick:
+        """One tick from a full snapshot + flag vector, fanned out by id.
+
+        ``current`` is indexed by *global device id* and must cover the
+        dense id range ``0..n-1`` — the fixed-fleet contract the
+        snapshot drivers (monitor, trace replay, load generator) already
+        satisfy.  Churned populations with id gaps flow through
+        :meth:`ingest` / :meth:`join` / :meth:`leave` instead.  The
+        frame is written once to a shared-memory board; every shard
+        gathers its residents' rows from it by id.
+        """
+        current = np.asarray(current, dtype=float)
+        flags_arr = np.asarray(list(flags), dtype=bool)
+        if (
+            current.ndim != 2
+            or current.shape[1] != self._dim
+            or flags_arr.shape[0] != current.shape[0]
+        ):
+            self._reject("dimension-mismatch")
+            raise DimensionMismatchError(
+                f"snapshot frame {current.shape} with {flags_arr.shape[0]} "
+                f"flags incompatible with dim {self._dim}"
             )
-            self._reject("nan", int(nan_bad.sum()))
-            self._reject("inf", int(inf_bad.sum()))
-            self._reject("out-of-range", int(range_bad.sum()))
-            good = finite & ~range_bad
-            if not good.all():
-                idx = np.nonzero(good)[0]
-                if idx.size == 0:
-                    continue
-                positions = positions[idx]
-                kept = [kept[i] for i in idx.tolist()]
-            flags = np.fromiter(
-                (update.flagged for update in kept),
-                dtype=bool,
-                count=len(kept),
+        self._ingest_stage.run(self._tracer)
+        name, rows, _ = self._board.publish(current, flags_arr)
+        try:
+            counts = self._phase(
+                [
+                    (
+                        "frame",
+                        self._tick + 1,
+                        {"board": name, "rows": rows, "live": [name]},
+                    )
+                    for _ in range(self._map.n_shards)
+                ]
             )
-            ids = np.fromiter(
-                (update.device for update in kept),
-                dtype=np.int64,
-                count=len(kept),
-            )
-            if self._process:
-                msgs[shard] = (
-                    "events",
-                    self._tick + 1,
-                    {"ids": ids, "positions": positions, "flags": flags},
-                )
-            else:
-                worker = self._workers[shard]
-                rows = np.fromiter(
-                    (worker.store.row_of(int(j)) for j in ids.tolist()),
-                    dtype=np.int64,
-                    count=ids.shape[0],
-                )
-                applied = worker.store.apply_rows(rows, positions, flags)
-                worker.tracker.mark_batch(
-                    applied, was_relevant=applied.was_flagged
-                )
-            total += len(kept)
-        if self._process and any(msg is not None for msg in msgs):
-            self._phase(msgs)
-        return total
+        except DimensionMismatchError:
+            self._reject("dimension-mismatch")
+            raise
+        applied_rows = sum(int(count) for count in counts)
+        if applied_rows:
+            self.stats.updates_applied += applied_rows
+            self._applied_since_tick += applied_rows
+        return self.end_tick()
 
     # ------------------------------------------------------------------
     # Migration
@@ -1565,40 +1280,15 @@ class ShardedService:
         tracker has already marked the crossing move's cells, and they
         enter the global dirty union) and before the halo exchange, so
         every published row lies in its publisher's own box.  The
-        handover uses :meth:`DeviceStateStore.admit` — a plain ``join``
-        would restart the trajectory as stationary and erase the very
-        move that crossed the border.
-        """
-        if self._process:
-            return self._migrate_process()
-        moves: List[Tuple[int, int, int]] = []
-        for shard, worker in enumerate(self._workers):
-            store = worker.store
-            ids = np.asarray(store.row_ids())
-            alive_rows = np.nonzero(ids >= 0)[0]
-            if alive_rows.size == 0:
-                continue
-            keys = store.index.keys_of_rows(alive_rows)
-            dest = self._map.shard_of_keys(keys)
-            off = np.nonzero(dest != shard)[0]
-            for i in off.tolist():
-                moves.append((shard, int(dest[i]), int(alive_rows[i])))
-        for src, dst, row in moves:
-            device, prev, cur, flagged, code = self._workers[
-                src
-            ].store.row_state(row)
-            self._workers[src].store.leave(device)
-            self._workers[dst].store.admit(device, prev, cur, flagged, code)
-            self._owner[device] = dst
-        return len(moves)
+        handover runs in three idempotent phases: ``movers`` is
+        scan-only, so the parent holds the full handover records before
+        any store mutates; ``migrate_out`` then evicts
+        (leave-if-present) and ``migrate_in`` admits through
+        :meth:`DeviceStateStore.admit` (admit-if-absent) — a plain
+        ``join`` would restart the trajectory as stationary and erase
+        the very move that crossed the border.  Each phase replays
+        safely after a kill+respawn at any point.
 
-    def _migrate_process(self) -> int:
-        """Cross-shard handover over the pipes, in three idempotent phases.
-
-        ``movers`` is scan-only, so the parent holds the full handover
-        records before any store mutates; ``migrate_out`` then evicts
-        (leave-if-present) and ``migrate_in`` admits (admit-if-absent) —
-        each phase replays safely after a kill+respawn at any point.
         The parent also folds every mover's trajectory-endpoint cells
         into this tick's and the next tick's dirty union
         (``_mover_cells`` / ``_mover_carry``): if the *source* shard is
@@ -1640,140 +1330,6 @@ class ShardedService:
         return moves
 
     # ------------------------------------------------------------------
-    # Feeding
-    # ------------------------------------------------------------------
-    def _gather_current(self) -> np.ndarray:
-        """Current positions gathered into one global-id-indexed frame."""
-        frame = np.zeros((self.n, self._dim), dtype=float)
-        if self._process:
-            for ids, positions in self._query("frame"):
-                if ids.size:
-                    frame[ids] = positions
-            return frame
-        for worker in self._workers:
-            store = worker.store
-            ids = np.asarray(store.row_ids())
-            alive_rows = np.nonzero(ids >= 0)[0]
-            if alive_rows.size:
-                frame[ids[alive_rows]] = store.current_positions()[alive_rows]
-        return frame
-
-    def feed_snapshot(
-        self, current: np.ndarray, flags: Iterable[bool]
-    ) -> OnlineTick:
-        """One tick from a full snapshot + flag vector, fanned out by id.
-
-        ``current`` is indexed by *global device id* and must cover the
-        dense id range ``0..n-1`` — the fixed-fleet contract the
-        snapshot drivers (monitor, trace replay, load generator) already
-        satisfy.  Churned populations with id gaps flow through
-        :meth:`ingest` / :meth:`join` / :meth:`leave` instead.
-        """
-        current = np.asarray(current, dtype=float)
-        flags_arr = np.asarray(list(flags), dtype=bool)
-        if (
-            current.ndim != 2
-            or current.shape[1] != self._dim
-            or flags_arr.shape[0] != current.shape[0]
-        ):
-            self._reject("dimension-mismatch")
-            raise DimensionMismatchError(
-                f"snapshot frame {current.shape} with {flags_arr.shape[0]} "
-                f"flags incompatible with dim {self._dim}"
-            )
-        self._ingest_stage.run(self._tracer)
-        applied_rows = 0
-        if self._process:
-            name, rows, _ = self._board.publish(current, flags_arr)
-            try:
-                counts = self._phase(
-                    [
-                        (
-                            "frame",
-                            self._tick + 1,
-                            {"board": name, "rows": rows, "live": [name]},
-                        )
-                        for _ in range(self._map.n_shards)
-                    ]
-                )
-            except DimensionMismatchError:
-                self._reject("dimension-mismatch")
-                raise
-            applied_rows = sum(int(count) for count in counts)
-        else:
-            for worker in self._workers:
-                store = worker.store
-                ids = np.asarray(store.row_ids())
-                alive_rows = np.nonzero(ids >= 0)[0]
-                if alive_rows.size == 0:
-                    continue
-                alive_ids = ids[alive_rows]
-                if int(alive_ids.max()) >= current.shape[0]:
-                    self._reject("dimension-mismatch")
-                    raise DimensionMismatchError(
-                        "snapshot frame rows do not cover the fleet's "
-                        "global id range; feed churned populations "
-                        "through ingest/join/leave"
-                    )
-                sub_cur = store.current_positions().copy()
-                sub_flags = store.flag_vector().copy()
-                sub_cur[alive_rows] = current[alive_ids]
-                sub_flags[alive_rows] = flags_arr[alive_ids]
-                applied_rows += worker.index_stage.apply_diff(
-                    sub_cur, sub_flags, worker.tracer
-                )
-        if applied_rows:
-            self.stats.updates_applied += applied_rows
-            self._applied_since_tick += applied_rows
-        return self.end_tick()
-
-    def feed_measurements(self, values: np.ndarray) -> OnlineTick:
-        """One tick from raw QoS vectors: detect at the front door, flag."""
-        if self._bank is None:
-            raise ConfigurationError(
-                "feed_measurements needs a detector; construct the service "
-                "with detector=DetectorSpec(...)"
-            )
-        arr = np.asarray(values, dtype=float)
-        injector = get_injector()
-        if injector.active:
-            arr = injector.corrupt_frame(self._tick + 1, arr)
-        arr = self._validate_frame(arr)
-        with self._tracer.span("detect"):
-            detection = self._bank.observe_batch(arr)
-        self._last_detection = detection
-        return self.feed_snapshot(arr, detection.flags)
-
-    def _validate_frame(self, arr: np.ndarray) -> np.ndarray:
-        n, dim = self.n, self._dim
-        if arr.ndim != 2 or arr.shape != (n, dim):
-            self._reject("dimension-mismatch")
-            raise DimensionMismatchError(
-                f"measurement frame shape {arr.shape} incompatible with "
-                f"({n}, {dim})"
-            )
-        nan_bad = np.isnan(arr).any(axis=1)
-        inf_bad = np.isinf(arr).any(axis=1)
-        finite = ~(nan_bad | inf_bad)
-        range_bad = finite & (
-            (arr < 0.0).any(axis=1) | (arr > 1.0).any(axis=1)
-        )
-        bad = ~finite | range_bad
-        if not bad.any():
-            return arr
-        self._reject("nan", int(nan_bad.sum()))
-        self._reject("inf", int(inf_bad.sum()))
-        self._reject("out-of-range", int(range_bad.sum()))
-        if self._config.validation == "strict":
-            raise ConfigurationError(
-                f"measurement frame has {int(bad.sum())} malformed rows "
-                "(NaN/inf/out-of-range) and validation is strict"
-            )
-        repaired = arr.copy()
-        repaired[bad] = self._gather_current()[bad]
-        return repaired
-
-    # ------------------------------------------------------------------
     # Tick processing
     # ------------------------------------------------------------------
     def end_tick(self) -> OnlineTick:
@@ -1787,10 +1343,7 @@ class ShardedService:
         self._applied_since_tick = 0
         self._tick += 1
 
-        if self._process:
-            results, dirty_cells, halo_bytes = self._tick_process(tracer)
-        else:
-            results, dirty_cells, halo_bytes = self._tick_threads(tracer)
+        results, dirty_cells, halo_bytes = self._run_shards(tracer)
 
         verdicts: Dict[int, Characterization] = {}
         flagged: List[int] = []
@@ -1852,97 +1405,23 @@ class ShardedService:
             )
         return result
 
-    def _tick_threads(
+    def _run_shards(
         self, tracer: Tracer
     ) -> Tuple[List[Dict[str, Any]], Tuple[CellKey, ...], int]:
-        """Thread-topology tick: shared-memory in the literal sense."""
-        tick = self._tick
-        with tracer.span("dirty-region"):
-            union: Set[CellKey] = set()
-            for worker in self._workers:
-                union.update(worker.tracker.finish_cells())
-            dirty_cells: Tuple[CellKey, ...] = tuple(sorted(union))
+        """The tick's ``halo`` and ``verdict`` phases over shm rings.
 
-        halo_bytes = 0
-        with tracer.span("halo-exchange"):
-            for worker in self._workers:
-                worker.publish_halo(self._map, seq=tick)
-            halo_rings = self._map.halo_rings
-            halos: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-            for consumer in self._workers:
-                ids_parts: List[np.ndarray] = []
-                prev_parts: List[np.ndarray] = []
-                cur_parts: List[np.ndarray] = []
-                for producer in self._workers:
-                    if producer.shard == consumer.shard:
-                        continue
-                    channel = producer.channel
-                    if channel.ids.size == 0:
-                        continue
-                    dist = self._map.box_distance(
-                        channel.keys, consumer.shard
-                    )
-                    mask = (dist > 0) & (dist <= halo_rings)
-                    if not mask.any():
-                        continue
-                    prev_band, cur_band = channel.read(expected_seq=tick)
-                    ids_parts.append(channel.ids[mask])
-                    prev_parts.append(prev_band[mask])
-                    cur_parts.append(cur_band[mask])
-                    halo_bytes += int(mask.sum()) * self._dim * 16
-                if ids_parts:
-                    halos.append(
-                        (
-                            np.concatenate(ids_parts),
-                            np.concatenate(prev_parts),
-                            np.concatenate(cur_parts),
-                        )
-                    )
-                else:
-                    halos.append(
-                        (
-                            np.empty(0, dtype=np.int64),
-                            np.empty((0, self._dim), dtype=np.float64),
-                            np.empty((0, self._dim), dtype=np.float64),
-                        )
-                    )
-
-        def run_one(shard: int) -> TickContext:
-            worker = self._workers[shard]
-            ids, prev_band, cur_band = halos[shard]
-            worker.transition_stage.stage_halo(ids, prev_band, cur_band)
-            ctx = TickContext(tick=tick, dirty_cells=dirty_cells)
-            return worker.run_tick(ctx)
-
-        if self._executor is not None:
-            contexts = list(
-                self._executor.map(run_one, range(self._map.n_shards))
-            )
-        else:
-            contexts = [run_one(s) for s in range(self._map.n_shards)]
-        results = [
-            _ctx_result(worker, ctx)
-            for worker, ctx in zip(self._workers, contexts)
-        ]
-        return results, dirty_cells, halo_bytes
-
-    def _tick_process(
-        self, tracer: Tracer
-    ) -> Tuple[List[Dict[str, Any]], Tuple[CellKey, ...], int]:
-        """Process-topology tick: overlapped halo barrier over shm rings.
-
-        The ``halo`` phase makes every child publish its boundary band
+        The ``halo`` phase makes every shard publish its boundary band
         (seq-stamped with the tick) and reply with its dirty cells and
         ring metadata; while the parent unions the dirty sets and
-        computes per-consumer halo masks, the children overlap by
+        computes per-consumer halo masks, process children overlap by
         pre-gathering their owned-row planes (:meth:`prestage`).  The
-        ``verdict`` phase then ships segment *names* — each child gates
+        ``verdict`` phase then ships segment *names* — each shard gates
         on the publisher's sequence header before copying its band, so a
         slow publisher delays only its consumers' barrier and can never
         hand them a stale band.
 
         Three parent-side insurances widen the dirty union beyond the
-        children's reports: mover endpoint cells for this tick and the
+        shards' reports: mover endpoint cells for this tick and the
         next (a respawned source shard has no trace of departed
         devices), and — after any respawn or degrade since the last
         union — the previous tick's whole dirty union, which is a
@@ -1952,12 +1431,12 @@ class ShardedService:
         n_shards = self._map.n_shards
         dim = self._dim
         with tracer.span("halo-exchange"):
-            # The halo-delay fault is consulted here, in the parent (a
-            # forked child's injector counts would be invisible), and
-            # shipped as a reply stall: the child publishes its band
-            # first and sleeps before replying, so the fault delays only
-            # the barrier — the seq gate proves consumers still read a
-            # whole, current band.
+            # The halo-delay fault is consulted here, once, in the
+            # parent (a forked child's injector counts would be
+            # invisible), and shipped as a reply stall: the shard
+            # publishes its band first and stalls before replying, so
+            # the fault delays only the barrier — the seq gate proves
+            # consumers still read a whole, current band.
             injector = get_injector()
             halo_msgs: List[Optional[tuple]] = []
             for shard in range(n_shards):

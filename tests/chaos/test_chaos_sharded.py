@@ -13,6 +13,8 @@ Two contracts:
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ from repro.online import (
 from repro.robust.chaos import FaultPlan, inject
 
 CFG = ServiceConfig(r=0.05, tau=2)
+
+#: Every test here must release the segments its services create.
+pytestmark = pytest.mark.usefixtures("shm_leak_guard")
 
 
 def _history(service, base, ticks, seed):
@@ -65,7 +70,7 @@ class TestShardWorkerKill:
             clean = _history(single, base, ticks=5, seed=77)
 
         sharded = ShardedService(
-            base.copy(), CFG, topology_shards=2, parallel=False
+            base.copy(), CFG, topology_shards=2
         )
         victim = sharded.workers[0]
         victim.engine.close()
@@ -82,9 +87,20 @@ class TestShardWorkerKill:
         plan = FaultPlan(seed=11, kill_probability=0.15, drop_probability=0.1)
         try:
             with inject(plan) as injector:
+                consulted_by = []
+                consult = injector.pool_dispatch
+
+                def spy(seq, worker):
+                    consulted_by.append(sys._getframe(1).f_globals["__name__"])
+                    return consult(seq, worker)
+
+                injector.pool_dispatch = spy
                 chaotic = _history(sharded, base, ticks=5, seed=77)
             assert sum(injector.injected.values()) > 0
             assert chaotic == clean
+            # An in-parent shard has no child to kill: only the victim's
+            # engine pool draws dispatch faults, never the shard dispatch.
+            assert set(consulted_by) == {"repro.engine.backends"}
         finally:
             sharded.close()
 
@@ -164,7 +180,6 @@ class TestShardedFrameCorruption:
             base,
             ServiceConfig(r=0.05, tau=2, validation=validation),
             topology_shards=4,
-            parallel=False,
             detector=DetectorSpec("step", {"max_step": 0.2}),
             detection="bank",
         )

@@ -8,12 +8,28 @@ that shape and provide canonical paper scenarios.
 
 from __future__ import annotations
 
+import glob
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.core.transition import Transition
+
+
+@pytest.fixture
+def shm_leak_guard():
+    """Fail the test if it leaves a POSIX shared-memory segment behind.
+
+    Snapshots the ``psm_*`` segments (the default names of
+    :class:`multiprocessing.shared_memory.SharedMemory`) before the test
+    and reports every new one still linked after it.  Modules whose code
+    owns segments opt in with ``pytestmark``.
+    """
+    before = set(glob.glob("/dev/shm/psm_*"))
+    yield
+    leaked = sorted(set(glob.glob("/dev/shm/psm_*")) - before)
+    assert not leaked, f"shared-memory segments left behind: {leaked}"
 
 
 def make_transition_1d(

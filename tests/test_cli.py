@@ -105,12 +105,9 @@ class TestOnlineCommands:
         assert args.batch is None
         assert not args.full
 
-    def test_store_shards_flag_and_deprecated_alias(self, capsys):
+    def test_store_shards_flag(self):
         args = build_parser().parse_args(["serve", "--store-shards", "4"])
         assert args.store_shards == 4
-        args = build_parser().parse_args(["serve", "--shards", "5"])
-        assert args.store_shards == 5
-        assert "deprecated" in capsys.readouterr().err
 
     def test_replay_parser_defaults(self):
         args = build_parser().parse_args(["replay"])
@@ -126,7 +123,7 @@ class TestOnlineCommands:
             main(
                 ["serve", "--devices", "120", "--ticks", "3", "--churn",
                  "0.05", "--burst-every", "2", "--burst-size", "5",
-                 "--shards", "4", "--seed", "1"]
+                 "--store-shards", "4", "--seed", "1"]
             )
             == 0
         )
@@ -158,7 +155,8 @@ class TestOnlineCommands:
     def test_replay_synthetic_runs(self, capsys):
         assert (
             main(
-                ["replay", "--devices", "40", "--steps", "8", "--shards", "2"]
+                ["replay", "--devices", "40", "--steps", "8",
+                 "--store-shards", "2"]
             )
             == 0
         )
