@@ -518,6 +518,28 @@ def _json_logger(args: argparse.Namespace, **static_fields):
     return JsonLinesLogger(**static_fields)
 
 
+def _resume_checkpoint(args: argparse.Namespace):
+    """The newest checkpoint under ``--checkpoint-dir``, loaded, if any.
+
+    The checkpoint's recorded topology wins over ``--topology-shards``;
+    stderr says which topology and tick the run resumes.
+    """
+    from repro.online import latest_checkpoint, load_checkpoint
+
+    path = latest_checkpoint(args.checkpoint_dir) if args.checkpoint_dir else None
+    if path is None:
+        return None
+    ckpt = load_checkpoint(path)
+    if ckpt.topology_shards != args.topology_shards:
+        print(
+            f"note: {path} records --topology-shards "
+            f"{ckpt.topology_shards}; resuming that topology",
+            file=sys.stderr,
+        )
+    print(f"resuming from {path} (tick {ckpt.tick})", file=sys.stderr)
+    return ckpt
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.online import (
         CheckpointWriter,
@@ -525,14 +547,10 @@ def _run_serve(args: argparse.Namespace) -> int:
         LoadProfile,
         MetricsSink,
         OnlineCharacterizationService,
-        ShardedCheckpointWriter,
         ShardedService,
         drive_load,
         drive_load_measurements,
-        latest_checkpoint,
-        latest_sharded_checkpoint,
         restore_service,
-        restore_sharded_service,
     )
 
     sharded = args.topology_shards > 0
@@ -561,29 +579,17 @@ def _run_serve(args: argparse.Namespace) -> int:
         shards=args.store_shards,
         topology_shards=args.topology_shards,
     )
-    if args.checkpoint_dir:
-        resume = (
-            latest_sharded_checkpoint(args.checkpoint_dir)
-            if sharded
-            else latest_checkpoint(args.checkpoint_dir)
-        )
-    else:
-        resume = None
+    resume = _resume_checkpoint(args)
     try:
         if resume is not None:
             # A previous run left a checkpoint behind: rebuild the
             # service from it and replay the load generator forward so
             # the stream continues exactly where the dead process died.
-            if sharded:
-                service_cm = restore_sharded_service(
-                    resume,
-                    config=_service_config(args),
-                    topology_workers=args.topology_workers,
-                )
-            else:
-                service_cm = restore_service(
-                    resume, config=_service_config(args)
-                )
+            service_cm = restore_service(
+                resume,
+                config=_service_config(args),
+                topology_workers=args.topology_workers,
+            )
         elif sharded:
             service_cm = ShardedService(
                 generator.initial_positions(),
@@ -607,16 +613,9 @@ def _run_serve(args: argparse.Namespace) -> int:
             start_tick = service.current_tick
             if start_tick:
                 generator.fast_forward(start_tick)
-                print(
-                    f"resuming from {resume} (tick {start_tick})",
-                    file=sys.stderr,
-                )
             if args.checkpoint_dir:
-                writer_cls = (
-                    ShardedCheckpointWriter if sharded else CheckpointWriter
-                )
                 service.add_sink(
-                    writer_cls(
+                    CheckpointWriter(
                         service,
                         args.checkpoint_dir,
                         every=args.checkpoint_every,
@@ -695,15 +694,9 @@ def _run_replay(args: argparse.Namespace) -> int:
     from repro.online import (
         CheckpointWriter,
         OnlineCharacterizationService,
-        ShardedCheckpointWriter,
         ShardedService,
-        latest_checkpoint,
-        latest_sharded_checkpoint,
-        load_checkpoint,
-        load_sharded_checkpoint,
         replay_trace_online,
         restore_service,
-        restore_sharded_service,
     )
 
     sharded = args.topology_shards > 0
@@ -772,26 +765,13 @@ def _run_replay(args: argparse.Namespace) -> int:
             # Checkpointed replay: the external detector bank rides in
             # the checkpoint's extra blob so a resumed run flags exactly
             # what the uninterrupted one would have.
-            resume = (
-                latest_sharded_checkpoint(args.checkpoint_dir)
-                if sharded
-                else latest_checkpoint(args.checkpoint_dir)
-            )
+            resume = _resume_checkpoint(args)
             if resume is not None:
-                if sharded:
-                    ckpt = load_sharded_checkpoint(resume)
-                    service = restore_sharded_service(
-                        ckpt, topology_workers=args.topology_workers
-                    )
-                else:
-                    ckpt = load_checkpoint(resume)
-                    service = restore_service(ckpt)
-                bank = ckpt.extra.get("replay_bank")
-                skip = min(service.current_tick, len(trace) - 1)
-                print(
-                    f"resuming from {resume} (tick {service.current_tick})",
-                    file=sys.stderr,
+                service = restore_service(
+                    resume, topology_workers=args.topology_workers
                 )
+                bank = resume.extra.get("replay_bank")
+                skip = min(service.current_tick, len(trace) - 1)
             else:
                 if sharded:
                     service = ShardedService(
@@ -814,11 +794,8 @@ def _run_replay(args: argparse.Namespace) -> int:
                     r=service.config.r,
                 )
                 skip = 0
-            writer_cls = (
-                ShardedCheckpointWriter if sharded else CheckpointWriter
-            )
             service.add_sink(
-                writer_cls(
+                CheckpointWriter(
                     service,
                     args.checkpoint_dir,
                     every=args.checkpoint_every,

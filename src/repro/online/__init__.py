@@ -40,22 +40,13 @@ from repro.online.recovery import (
     CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointWriter,
-    ShardedCheckpoint,
-    ShardedCheckpointWriter,
     checkpoint_path,
     latest_checkpoint,
-    latest_sharded_checkpoint,
     list_checkpoints,
-    list_sharded_checkpoints,
     load_checkpoint,
-    load_sharded_checkpoint,
     prune_checkpoints,
-    prune_sharded_checkpoints,
     restore_service,
-    restore_sharded_service,
     save_checkpoint,
-    save_sharded_checkpoint,
-    sharded_manifest_path,
 )
 from repro.online.replay import (
     LoadGenerator,
@@ -120,8 +111,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "ShardMap",
-    "ShardedCheckpoint",
-    "ShardedCheckpointWriter",
     "ShardedService",
     "SinkStage",
     "TickContext",
@@ -134,17 +123,10 @@ __all__ = [
     "drive_load",
     "drive_load_measurements",
     "latest_checkpoint",
-    "latest_sharded_checkpoint",
     "list_checkpoints",
-    "list_sharded_checkpoints",
     "load_checkpoint",
-    "load_sharded_checkpoint",
     "prune_checkpoints",
-    "prune_sharded_checkpoints",
     "replay_trace_online",
     "restore_service",
-    "restore_sharded_service",
     "save_checkpoint",
-    "save_sharded_checkpoint",
-    "sharded_manifest_path",
 ]

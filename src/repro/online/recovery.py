@@ -1,26 +1,40 @@
-"""Checkpoint–restore for the online characterization service.
+"""Checkpoint–restore for both service topologies: one format, one file.
 
 A checkpoint is one ``.npz`` file holding everything a fresh process
-needs to resume a killed service *verdict-identically* mid-stream:
+needs to resume a killed service *verdict-identically* mid-stream: the
+front-door state plus one *part* per spatial shard.  The single
+:class:`~repro.online.service.OnlineCharacterizationService` writes one
+part and records ``topology_shards=0`` (as the CLI flag does); a
+:class:`~repro.online.sharded.ShardedService` writes one part per shard.
 
-* the columnar :class:`~repro.online.store.DeviceStateStore` planes
-  (both snapshots, flags, verdict codes, the id↔row table and free
-  list) as plain arrays, trimmed to used rows;
-* the :class:`~repro.online.dirty.DirtyRegionTracker` cell sets —
-  without them the first post-restore tick would miss the one-tick move
-  carry and reuse verdicts it must recompute;
-* the verdict map, the pending ingest queue, the detector bank (its
-  window state decides every future flag), service stats and the
-  rejected-input tally, all pickled into ``uint8`` blobs inside the
-  same archive;
-* a JSON metadata record carrying the format version, the tick number
-  and the :class:`~repro.online.service.ServiceConfig`.
+* ``meta_json`` — format version, tick, recorded topology, the
+  applied-since-tick count, service stats, the rejected-input tally and
+  the :class:`~repro.online.service.ServiceConfig`;
+* ``queue_blob`` / ``aux_blob`` — the pending ingest queue, the detector
+  bank (its window state decides every future flag), the last detection
+  and the caller's ``extra``, pickled into ``uint8`` arrays;
+* per part ``i``, members prefixed ``part{i}_``: the columnar
+  :class:`~repro.online.store.DeviceStateStore` planes (``store_*``,
+  trimmed to used rows), the
+  :class:`~repro.online.dirty.DirtyRegionTracker` cell sets
+  (``tracker_*`` — without them the first post-restore tick would miss
+  the one-tick move carry) and the verdict cache (``verdicts_blob``).
 
-Writes are crash-safe: the archive is written to a ``.tmp`` sibling,
-fsynced, then published with an atomic ``os.replace`` — a reader can
-never observe a torn checkpoint, and a writer killed mid-write leaves
-the previous checkpoint intact.  :class:`CheckpointWriter` packages the
-cadence as a service sink (every ``N`` ticks, keep the last ``K``).
+**Commit rule.**  The archive is written to a ``.tmp`` sibling, fsynced,
+then published with one atomic ``os.replace``: a reader sees either the
+whole new checkpoint or the previous one, and a writer killed mid-write
+leaves the previous checkpoint intact.  Because every shard's part
+travels in that one file, written between two tick boundaries, a
+sharded checkpoint is a consistent cut by construction — no manifest
+and no per-part tick cross-check are needed.
+
+**Recorded topology wins.**  :func:`restore_service` rebuilds the
+topology the file records, whatever class or CLI flag asks for it;
+``topology_workers`` only picks where restored shards run.
+
+Loading is strict: a foreign format version, a store placed by a foreign
+cell hash, or a missing metadata field or member raises
+:class:`~repro.core.errors.CheckpointError` naming what is wrong.
 
 What deliberately does *not* travel: the cross-tick perf caches (the
 previous transition, the motion-cache carry, the chained ``cur`` copy).
@@ -37,7 +51,7 @@ import pickle
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,36 +62,54 @@ from repro.online.service import (
     QosUpdate,
     ServiceConfig,
 )
-from repro.online.store import NO_VERDICT, SHARD_HASH, DeviceStateStore
+from repro.online.store import SHARD_HASH
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "CheckpointWriter",
-    "ShardedCheckpoint",
-    "ShardedCheckpointWriter",
     "checkpoint_path",
     "latest_checkpoint",
-    "latest_sharded_checkpoint",
     "list_checkpoints",
-    "list_sharded_checkpoints",
     "load_checkpoint",
-    "load_sharded_checkpoint",
     "prune_checkpoints",
-    "prune_sharded_checkpoints",
     "restore_service",
-    "restore_sharded_service",
     "save_checkpoint",
-    "save_sharded_checkpoint",
-    "sharded_manifest_path",
 ]
 
 #: Format version written into (and required from) every checkpoint.
-CHECKPOINT_VERSION = 1
+#: Version 2 is the one-file format for both topologies.
+CHECKPOINT_VERSION = 2
 
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{8})\.npz$")
 
+#: Metadata fields every checkpoint must carry.
+_META_FIELDS = (
+    "tick",
+    "topology_shards",
+    "applied_since_tick",
+    "stats",
+    "rejected",
+    "config",
+)
+#: Members of every part, after its ``part{i}_`` prefix.  The store's
+#: ``shard_hash`` marker is checked on its own (see _check_placement).
+_PART_MEMBERS = (
+    "verdicts_blob",
+    *(
+        f"store_{key}"
+        for key in (
+            "prev", "cur", "flags", "alive", "verdict", "id_of", "free",
+            "cell", "n_shards", "tick_serial",
+        )
+    ),
+    *(f"tracker_{key}" for key in ("pending", "carry", "carry_next")),
+)
+
 _PathLike = Union[str, os.PathLike]
+
+#: One shard's slice: ``(store_state, tracker_state, verdict_cache)``.
+_Part = Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Dict[int, object]]
 
 
 def _pack(obj: object) -> np.ndarray:
@@ -87,8 +119,19 @@ def _pack(obj: object) -> np.ndarray:
     )
 
 
-def _unpack(arr: np.ndarray) -> object:
-    return pickle.loads(np.asarray(arr, dtype=np.uint8).tobytes())
+def _unpack(path: Path, name: str, arr: np.ndarray, kind: type):
+    try:
+        obj = pickle.loads(np.asarray(arr, dtype=np.uint8).tobytes())
+    except Exception as exc:
+        raise CheckpointError(
+            f"checkpoint {path} has a corrupt {name}: {exc}"
+        ) from exc
+    if not isinstance(obj, kind):
+        raise CheckpointError(
+            f"checkpoint {path} has a corrupt {name}: expected "
+            f"{kind.__name__}, got {type(obj).__name__}"
+        )
+    return obj
 
 
 def _check_placement(path: Path, store_state: Dict[str, np.ndarray]) -> None:
@@ -109,63 +152,60 @@ def _check_placement(path: Path, store_state: Dict[str, np.ndarray]) -> None:
 
 @dataclass
 class Checkpoint:
-    """One loaded checkpoint, ready for :func:`restore_service`."""
+    """One loaded checkpoint, ready for :func:`restore_service`.
+
+    ``parts`` holds one ``(store_state, tracker_state, verdicts)`` per
+    shard, in shard order; a single-service checkpoint
+    (``topology_shards == 0``) has exactly one.
+    """
 
     version: int
     tick: int
+    topology_shards: int
     applied_since_tick: int
     stats: Dict[str, int]
     rejected: Dict[str, int]
     config: ServiceConfig
-    store_state: Dict[str, np.ndarray]
-    tracker_state: Dict[str, np.ndarray]
-    verdicts: Dict[int, object]
     queue: List[QosUpdate]
     bank: object
     last_detection: object
     extra: Dict[str, object]
+    parts: List[_Part]
 
 
-def save_checkpoint(
-    service: OnlineCharacterizationService,
-    path: _PathLike,
-    *,
-    extra: Optional[Dict[str, object]] = None,
-) -> Path:
-    """Write one atomic checkpoint of ``service`` to ``path``.
+def save_checkpoint(service, path: _PathLike, *, extra=None) -> Path:
+    """Write one atomic checkpoint of ``service`` (either topology) to
+    ``path`` — always exactly one file — and return the published path.
 
     ``extra`` is an arbitrary (picklable) dict carried alongside the
     service state — e.g. the CLI replay driver stores its external
-    detector bank there.  Returns the published path.
+    detector bank there.  Call between ticks (e.g. from a sink).
     """
     path = Path(path)
+    topology, parts = service._checkpoint_parts()
+    front = service._front_state()
+    queue = front.pop("queue")
+    aux = {key: front.pop(key) for key in ("bank", "last_detection")}
+    aux["extra"] = dict(extra or {})
     meta = {
         "version": CHECKPOINT_VERSION,
-        "tick": service.current_tick,
-        "applied_since_tick": service._applied_since_tick,
-        "stats": service.stats.as_dict(),
-        "rejected": dict(service.rejected),
+        "topology_shards": topology,
         "config": asdict(service.config),
-        "has_bank": service.bank is not None,
+        **front,
     }
     arrays: Dict[str, np.ndarray] = {
         "meta_json": np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         ),
-        "verdicts_blob": _pack(service._verdicts),
-        "queue_blob": _pack(list(service._queue)),
-        "aux_blob": _pack(
-            {
-                "bank": service.bank,
-                "last_detection": service.last_detection,
-                "extra": dict(extra or {}),
-            }
-        ),
+        "queue_blob": _pack(queue),
+        "aux_blob": _pack(aux),
     }
-    for key, value in service.store.state().items():
-        arrays[f"store_{key}"] = value
-    for key, value in service._tracker.state().items():
-        arrays[f"tracker_{key}"] = value
+    for i, (store_state, tracker_state, verdicts) in enumerate(parts):
+        arrays[f"part{i}_verdicts_blob"] = _pack(verdicts)
+        for key, value in store_state.items():
+            arrays[f"part{i}_store_{key}"] = value
+        for key, value in tracker_state.items():
+            arrays[f"part{i}_tracker_{key}"] = value
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
@@ -176,60 +216,90 @@ def save_checkpoint(
     return path
 
 
+def _require(path: Path, what: str, present, wanted) -> None:
+    missing = [name for name in wanted if name not in present]
+    if missing:
+        raise CheckpointError(
+            f"checkpoint {path} is missing {what}: {', '.join(missing)}"
+        )
+
+
 def load_checkpoint(path: _PathLike) -> Checkpoint:
-    """Read and validate one checkpoint; raises :class:`CheckpointError`."""
+    """Read and validate one checkpoint; raises only :class:`CheckpointError`."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise CheckpointError(f"checkpoint {path} does not exist")
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
-    except CheckpointError:
-        raise
     except Exception as exc:
         raise CheckpointError(
             f"checkpoint {path} is unreadable: {exc}"
         ) from exc
-    if "meta_json" not in arrays:
-        raise CheckpointError(f"checkpoint {path} carries no metadata")
+    _require(path, "members", arrays, ("meta_json", "queue_blob", "aux_blob"))
     try:
         meta = json.loads(arrays["meta_json"].tobytes().decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(
             f"checkpoint {path} has corrupt metadata: {exc}"
         ) from exc
-    version = int(meta.get("version", -1))
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint {path} has corrupt metadata")
+    version = meta.get("version", -1)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} is format version {version}; this build "
             f"reads version {CHECKPOINT_VERSION}"
         )
-    store_state = {
-        key[len("store_") :]: value
-        for key, value in arrays.items()
-        if key.startswith("store_")
-    }
-    _check_placement(path, store_state)
-    tracker_state = {
-        key[len("tracker_") :]: value
-        for key, value in arrays.items()
-        if key.startswith("tracker_")
-    }
-    aux = _unpack(arrays["aux_blob"])
+    _require(path, "metadata fields", meta, _META_FIELDS)
+    try:
+        topology = int(meta["topology_shards"])
+        tick = int(meta["tick"])
+        applied = int(meta["applied_since_tick"])
+        stats = {k: int(v) for k, v in meta["stats"].items()}
+        rejected = {k: int(v) for k, v in meta["rejected"].items()}
+        config = ServiceConfig(**meta["config"])
+    except (AttributeError, TypeError, ValueError, ConfigurationError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} has corrupt metadata: {exc}"
+        ) from exc
+    if topology < 0:
+        raise CheckpointError(
+            f"checkpoint {path} records topology_shards={topology}"
+        )
+    parts: List[_Part] = []
+    for i in range(max(1, topology)):
+        prefix = f"part{i}_"
+        _require(
+            path, f"part {i} members", arrays,
+            [prefix + name for name in _PART_MEMBERS],
+        )
+        store_state, tracker_state = {}, {}
+        for key, value in arrays.items():
+            if key.startswith(prefix + "store_"):
+                store_state[key[len(prefix + "store_"):]] = value
+            elif key.startswith(prefix + "tracker_"):
+                tracker_state[key[len(prefix + "tracker_"):]] = value
+        _check_placement(path, store_state)
+        verdicts = _unpack(
+            path, f"part {i} verdict map", arrays[prefix + "verdicts_blob"], dict
+        )
+        parts.append((store_state, tracker_state, verdicts))
+    aux = _unpack(path, "aux blob", arrays["aux_blob"], dict)
+    _require(path, "aux entries", aux, ("bank", "last_detection", "extra"))
     return Checkpoint(
         version=version,
-        tick=int(meta["tick"]),
-        applied_since_tick=int(meta["applied_since_tick"]),
-        stats={k: int(v) for k, v in meta["stats"].items()},
-        rejected={k: int(v) for k, v in meta.get("rejected", {}).items()},
-        config=ServiceConfig(**meta["config"]),
-        store_state=store_state,
-        tracker_state=tracker_state,
-        verdicts=_unpack(arrays["verdicts_blob"]),
-        queue=list(_unpack(arrays["queue_blob"])),
-        bank=aux.get("bank"),
-        last_detection=aux.get("last_detection"),
-        extra=dict(aux.get("extra", {})),
+        tick=tick,
+        topology_shards=topology,
+        applied_since_tick=applied,
+        stats=stats,
+        rejected=rejected,
+        config=config,
+        queue=_unpack(path, "ingest queue", arrays["queue_blob"], list),
+        bank=aux["bank"],
+        last_detection=aux["last_detection"],
+        extra=dict(aux["extra"]),
+        parts=parts,
     )
 
 
@@ -240,15 +310,21 @@ def restore_service(
     engine=None,
     sinks: Iterable[Callable[[OnlineTick], None]] = (),
     tracer=None,
-) -> OnlineCharacterizationService:
-    """Rebuild a service from a checkpoint, verdict-identically.
+    topology_workers: str = "thread",
+):
+    """Rebuild the recorded topology from a checkpoint, verdict-identically.
 
-    ``config`` overrides the checkpointed :class:`ServiceConfig` (e.g.
-    to resume on a different backend — verdicts are backend-invariant).
-    The restored service recomputes exactly what the uninterrupted one
-    would have: store, tracker, verdict cache, queue and bank state are
-    all reinstated; only the cross-tick perf caches start cold, so the
-    first resumed tick trades some reuse for correctness.
+    A ``topology_shards=0`` checkpoint becomes an
+    :class:`~repro.online.service.OnlineCharacterizationService` (``engine``
+    optionally shares an engine with it); any other becomes a
+    :class:`~repro.online.sharded.ShardedService` with that many shards,
+    run under ``topology_workers`` — a cut taken under either worker mode
+    restores under either.  ``config`` overrides the checkpointed
+    :class:`ServiceConfig` (e.g. to resume on a different backend —
+    verdicts are backend-invariant).  Stores, trackers, verdict caches,
+    queue and bank state are all reinstated; only the cross-tick perf
+    caches start cold, so the first resumed tick trades some reuse for
+    correctness.
     """
     ckpt = (
         source
@@ -256,31 +332,30 @@ def restore_service(
         else load_checkpoint(source)
     )
     cfg = config or ckpt.config
-    store = DeviceStateStore.from_state(ckpt.store_state)
-    service = OnlineCharacterizationService._from_store(
-        store, cfg, engine=engine, sinks=sinks, tracer=tracer
-    )
-    service._tracker.restore_state(ckpt.tracker_state)
-    service._bank = ckpt.bank
-    service._last_detection = ckpt.last_detection
-    service._verdicts = dict(ckpt.verdicts)
-    service._queue.extend(ckpt.queue)
-    service._applied_since_tick = int(ckpt.applied_since_tick)
-    service._tick = int(ckpt.tick)
-    for name, value in ckpt.stats.items():
-        setattr(service.stats, name, value)
-    service.rejected = dict(ckpt.rejected)
-    rows = np.nonzero(store.verdict_codes() != NO_VERDICT)[0]
-    service._verdict_rows = rows if rows.size else None
-    # Perf caches start cold on purpose: they reference arrays and
-    # transitions of the dead process and only ever accelerate, never
-    # decide, the next tick.
-    service._last_transition = None
-    service._last_flagged = None
-    service._last_cache = None
-    service._chain_cur = None
-    service._chain_serial = -1
+    if ckpt.topology_shards:
+        from repro.online.sharded import ShardedService
+
+        if engine is not None:
+            raise ConfigurationError(
+                f"engine= applies to single-service checkpoints; this one "
+                f"records {ckpt.topology_shards} shards"
+            )
+        service = ShardedService._from_parts(
+            ckpt.parts, cfg, sinks=sinks, tracer=tracer,
+            topology_workers=topology_workers,
+        )
+    else:
+        service = OnlineCharacterizationService._from_parts(
+            ckpt.parts, cfg, engine=engine, sinks=sinks, tracer=tracer
+        )
+    service._load_front_state(ckpt)
     return service
+
+
+# The only reason these exist: perfbench/layers.py resolves them by name.
+save_sharded_checkpoint = save_checkpoint
+load_sharded_checkpoint = load_checkpoint
+restore_sharded_service = restore_service
 
 
 def checkpoint_path(directory: _PathLike, tick: int) -> Path:
@@ -323,389 +398,12 @@ def prune_checkpoints(directory: _PathLike, keep: int) -> int:
 class CheckpointWriter:
     """Service sink: checkpoint every ``every`` ticks, keep the last few.
 
-    Attach with ``service.add_sink(CheckpointWriter(service, dir))`` or
-    pass it via the service's ``sinks``.  Each write is atomic (see
+    Works for either topology.  Attach with
+    ``service.add_sink(CheckpointWriter(service, dir))`` or pass it via
+    the service's ``sinks``.  Each write is atomic (see
     :func:`save_checkpoint`) and followed by retention pruning, so the
     directory always holds the ``keep`` newest complete checkpoints.
     """
-
-    def __init__(
-        self,
-        service: OnlineCharacterizationService,
-        directory: _PathLike,
-        *,
-        every: int = 1,
-        keep: int = 3,
-        extra: Optional[Dict[str, object]] = None,
-    ) -> None:
-        if every < 1:
-            raise ConfigurationError(f"every must be >= 1, got {every!r}")
-        if keep < 1:
-            raise ConfigurationError(f"keep must be >= 1, got {keep!r}")
-        self._service = service
-        self._directory = Path(directory)
-        self._every = int(every)
-        self._keep = int(keep)
-        self._extra = extra
-        self.written: List[Path] = []
-
-    def __call__(self, tick: OnlineTick) -> None:
-        if tick.tick % self._every:
-            return
-        path = checkpoint_path(self._directory, tick.tick)
-        save_checkpoint(self._service, path, extra=self._extra)
-        self.written.append(path)
-        prune_checkpoints(self._directory, self._keep)
-
-
-# ----------------------------------------------------------------------
-# Sharded topology: per-shard checkpoint sets as one consistent cut
-# ----------------------------------------------------------------------
-#
-# A :class:`~repro.online.sharded.ShardedService` checkpoint is a *set*
-# of files under one directory:
-#
-#   shard-NN/part-XXXXXXXX.npz   one per spatial shard (store planes,
-#                                tracker cell sets, verdict cache)
-#   front-XXXXXXXX.npz           the front door (queue, bank, stats,
-#                                config, topology)
-#   manifest-XXXXXXXX.json       written last, atomically
-#
-# The manifest is the commit record: every part is fsynced and
-# published before the manifest exists, so a reader that finds a
-# manifest finds a complete, mutually-consistent cut — all parts carry
-# the same tick, written between the same two tick boundaries.  A
-# writer killed mid-set leaves at most orphan part files and no
-# manifest; the previous cut stays the latest readable one.
-
-_MANIFEST_RE = re.compile(r"^manifest-(\d{8})\.json$")
-
-
-@dataclass
-class _ShardPart:
-    """One spatial shard's slice of a sharded checkpoint."""
-
-    shard: int
-    store_state: Dict[str, np.ndarray]
-    tracker_state: Dict[str, np.ndarray]
-    verdicts: Dict[int, object]
-
-
-@dataclass
-class ShardedCheckpoint:
-    """One loaded consistent cut, ready for :func:`restore_sharded_service`."""
-
-    version: int
-    tick: int
-    topology_shards: int
-    applied_since_tick: int
-    stats: Dict[str, int]
-    rejected: Dict[str, int]
-    config: ServiceConfig
-    queue: List[QosUpdate]
-    bank: object
-    last_detection: object
-    extra: Dict[str, object]
-    shards: List[_ShardPart]
-
-
-def sharded_manifest_path(directory: _PathLike, tick: int) -> Path:
-    """The canonical manifest filename for ``tick``."""
-    return Path(directory) / f"manifest-{tick:08d}.json"
-
-
-def _write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
-def save_sharded_checkpoint(
-    service,
-    directory: _PathLike,
-    *,
-    extra: Optional[Dict[str, object]] = None,
-) -> Path:
-    """Write one consistent-cut sharded checkpoint; returns the manifest.
-
-    Call between ticks (e.g. from a sink) — the cut's consistency
-    argument is that no shard advances while the set is being written.
-    """
-    directory = Path(directory)
-    tick = service.current_tick
-    shard_files: List[str] = []
-    for shard, (store_state, tracker_state, verdicts) in enumerate(
-        service.shard_states()
-    ):
-        meta = {
-            "version": CHECKPOINT_VERSION,
-            "tick": tick,
-            "shard": shard,
-        }
-        arrays: Dict[str, np.ndarray] = {
-            "meta_json": np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8
-            ),
-            "verdicts_blob": _pack(dict(verdicts)),
-        }
-        for key, value in store_state.items():
-            arrays[f"store_{key}"] = value
-        for key, value in tracker_state.items():
-            arrays[f"tracker_{key}"] = value
-        rel = f"shard-{shard:02d}/part-{tick:08d}.npz"
-        _write_npz(directory / rel, arrays)
-        shard_files.append(rel)
-    front_meta = {
-        "version": CHECKPOINT_VERSION,
-        "tick": tick,
-        "topology_shards": service.n_shards,
-        "applied_since_tick": service._applied_since_tick,
-        "stats": service.stats.as_dict(),
-        "rejected": dict(service.rejected),
-        "config": asdict(service.config),
-        "has_bank": service.bank is not None,
-    }
-    front_rel = f"front-{tick:08d}.npz"
-    _write_npz(
-        directory / front_rel,
-        {
-            "meta_json": np.frombuffer(
-                json.dumps(front_meta).encode("utf-8"), dtype=np.uint8
-            ),
-            "queue_blob": _pack(list(service._queue)),
-            "aux_blob": _pack(
-                {
-                    "bank": service.bank,
-                    "last_detection": service.last_detection,
-                    "extra": dict(extra or {}),
-                }
-            ),
-        },
-    )
-    manifest = {
-        "version": CHECKPOINT_VERSION,
-        "tick": tick,
-        "topology_shards": service.n_shards,
-        "front": front_rel,
-        "shards": shard_files,
-    }
-    manifest_path = sharded_manifest_path(directory, tick)
-    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, manifest_path)
-    return manifest_path
-
-
-def _load_part_arrays(path: Path) -> Dict[str, np.ndarray]:
-    if not path.exists():
-        raise CheckpointError(
-            f"sharded checkpoint part {path} is missing; the manifest "
-            "references an incomplete cut"
-        )
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            return {key: data[key] for key in data.files}
-    except Exception as exc:
-        raise CheckpointError(f"checkpoint part {path} is unreadable: {exc}") from exc
-
-
-def _part_meta(path: Path, arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
-    if "meta_json" not in arrays:
-        raise CheckpointError(f"checkpoint part {path} carries no metadata")
-    try:
-        return json.loads(arrays["meta_json"].tobytes().decode("utf-8"))
-    except ValueError as exc:
-        raise CheckpointError(
-            f"checkpoint part {path} has corrupt metadata: {exc}"
-        ) from exc
-
-
-def load_sharded_checkpoint(manifest_path: _PathLike) -> ShardedCheckpoint:
-    """Read and validate one consistent cut from its manifest."""
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise CheckpointError(f"manifest {manifest_path} does not exist")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CheckpointError(
-            f"manifest {manifest_path} is corrupt: {exc}"
-        ) from exc
-    version = int(manifest.get("version", -1))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"manifest {manifest_path} is format version {version}; this "
-            f"build reads version {CHECKPOINT_VERSION}"
-        )
-    tick = int(manifest["tick"])
-    directory = manifest_path.parent
-    front_arrays = _load_part_arrays(directory / manifest["front"])
-    front_meta = _part_meta(directory / manifest["front"], front_arrays)
-    if int(front_meta["tick"]) != tick:
-        raise CheckpointError(
-            f"front part of {manifest_path} is from tick "
-            f"{front_meta['tick']}, manifest says {tick}"
-        )
-    aux = _unpack(front_arrays["aux_blob"])
-    shards: List[_ShardPart] = []
-    for rel in manifest["shards"]:
-        part_path = directory / rel
-        arrays = _load_part_arrays(part_path)
-        meta = _part_meta(part_path, arrays)
-        if int(meta["tick"]) != tick:
-            raise CheckpointError(
-                f"shard part {part_path} is from tick {meta['tick']}, "
-                f"manifest says {tick} — not a consistent cut"
-            )
-        store_state = {
-            key[len("store_") :]: value
-            for key, value in arrays.items()
-            if key.startswith("store_")
-        }
-        _check_placement(part_path, store_state)
-        shards.append(
-            _ShardPart(
-                shard=int(meta["shard"]),
-                store_state=store_state,
-                tracker_state={
-                    key[len("tracker_") :]: value
-                    for key, value in arrays.items()
-                    if key.startswith("tracker_")
-                },
-                verdicts=_unpack(arrays["verdicts_blob"]),
-            )
-        )
-    expected = int(manifest["topology_shards"])
-    if len(shards) != expected:
-        raise CheckpointError(
-            f"manifest {manifest_path} lists {len(shards)} shard parts "
-            f"for a {expected}-shard topology"
-        )
-    return ShardedCheckpoint(
-        version=version,
-        tick=tick,
-        topology_shards=expected,
-        applied_since_tick=int(front_meta["applied_since_tick"]),
-        stats={k: int(v) for k, v in front_meta["stats"].items()},
-        rejected={
-            k: int(v) for k, v in front_meta.get("rejected", {}).items()
-        },
-        config=ServiceConfig(**front_meta["config"]),
-        queue=list(_unpack(front_arrays["queue_blob"])),
-        bank=aux.get("bank"),
-        last_detection=aux.get("last_detection"),
-        extra=dict(aux.get("extra", {})),
-        shards=sorted(shards, key=lambda part: part.shard),
-    )
-
-
-def restore_sharded_service(
-    source: Union[ShardedCheckpoint, _PathLike],
-    *,
-    config: Optional[ServiceConfig] = None,
-    sinks: Iterable[Callable[[OnlineTick], None]] = (),
-    tracer=None,
-    topology_workers: str = "thread",
-):
-    """Rebuild a :class:`ShardedService` from a consistent cut.
-
-    Mirrors :func:`restore_service` per shard: stores, trackers and
-    verdict caches are reinstated exactly; cross-tick perf caches start
-    cold; the device→shard owner map is rebuilt from the parts'
-    id columns (authoritative — placement is part of the stores' state,
-    not recomputed from positions).  ``topology_workers`` picks where
-    the restored shards run; a cut taken under either topology restores
-    under either.
-    """
-    from repro.online.sharded import ShardedService
-
-    ckpt = (
-        source
-        if isinstance(source, ShardedCheckpoint)
-        else load_sharded_checkpoint(source)
-    )
-    cfg = config or ckpt.config
-    dim = int(np.asarray(ckpt.shards[0].store_state["cur"]).shape[1])
-    service = ShardedService(
-        np.zeros((1, dim)),
-        cfg,
-        topology_shards=ckpt.topology_shards,
-        sinks=sinks,
-        tracer=tracer,
-        topology_workers=topology_workers,
-    )
-    try:
-        service.load_shard_states(ckpt.shards)
-    except ConfigurationError as exc:
-        service.close()
-        raise CheckpointError(str(exc)) from exc
-    service._bank = ckpt.bank
-    service._last_detection = ckpt.last_detection
-    service._queue.extend(ckpt.queue)
-    service._applied_since_tick = int(ckpt.applied_since_tick)
-    service._tick = int(ckpt.tick)
-    for name, value in ckpt.stats.items():
-        setattr(service.stats, name, value)
-    service.rejected = dict(ckpt.rejected)
-    return service
-
-
-def list_sharded_checkpoints(directory: _PathLike) -> List[Path]:
-    """Manifest files in ``directory``, oldest first."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    found: List[tuple] = []
-    for entry in directory.iterdir():
-        match = _MANIFEST_RE.match(entry.name)
-        if match:
-            found.append((int(match.group(1)), entry))
-    return [path for _, path in sorted(found)]
-
-
-def latest_sharded_checkpoint(directory: _PathLike) -> Optional[Path]:
-    """The newest manifest in ``directory``, if any."""
-    found = list_sharded_checkpoints(directory)
-    return found[-1] if found else None
-
-
-def prune_sharded_checkpoints(directory: _PathLike, keep: int) -> int:
-    """Delete all but the newest ``keep`` cuts (manifest *and* parts)."""
-    if keep < 1:
-        raise ConfigurationError(f"keep must be >= 1, got {keep!r}")
-    directory = Path(directory)
-    stale = list_sharded_checkpoints(directory)[:-keep]
-    for manifest_path in stale:
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            parts = [manifest.get("front", ""), *manifest.get("shards", [])]
-        except (ValueError, OSError):  # pragma: no cover - corrupt stale cut
-            parts = []
-        # Manifest first: once it is gone the cut is invisible to
-        # readers and the part deletions cannot strand a live manifest.
-        try:
-            manifest_path.unlink()
-        except FileNotFoundError:  # pragma: no cover - concurrent prune
-            pass
-        for rel in parts:
-            if not rel:
-                continue
-            try:
-                (directory / rel).unlink()
-            except FileNotFoundError:  # pragma: no cover - concurrent prune
-                pass
-    return len(stale)
-
-
-class ShardedCheckpointWriter:
-    """Sharded-service sink: one consistent cut every ``every`` ticks."""
 
     def __init__(
         self,
@@ -730,8 +428,7 @@ class ShardedCheckpointWriter:
     def __call__(self, tick: OnlineTick) -> None:
         if tick.tick % self._every:
             return
-        path = save_sharded_checkpoint(
-            self._service, self._directory, extra=self._extra
-        )
+        path = checkpoint_path(self._directory, tick.tick)
+        save_checkpoint(self._service, path, extra=self._extra)
         self.written.append(path)
-        prune_sharded_checkpoints(self._directory, self._keep)
+        prune_checkpoints(self._directory, self._keep)

@@ -70,7 +70,7 @@ from repro.online.stages import (
     TransitionBuildStage,
     VerdictStage,
 )
-from repro.online.store import DeviceStateStore
+from repro.online.store import NO_VERDICT, DeviceStateStore
 from repro.robust.chaos import get_injector
 
 __all__ = [
@@ -478,7 +478,9 @@ class _FrontDoor:
     (local store rows vs. a route by owner shard) — and the current
     frame a ``"sanitize"`` repair falls back to
     (:meth:`_current_frame`), plus ``n``, ``dim``, ``feed_snapshot`` and
-    ``end_tick``.
+    ``end_tick``.  Checkpoints work the same way: the front door captures
+    and reinstates its own state here, and a subclass supplies only its
+    parts out (:meth:`_checkpoint_parts`) and in (``_from_parts``).
     """
 
     def _init_front_door(
@@ -591,6 +593,51 @@ class _FrontDoor:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # ------------------------------------------------------------------
+    # Checkpoint–restore (format: repro.online.recovery)
+    # ------------------------------------------------------------------
+    def checkpoint(self, path, *, extra: Optional[Dict[str, object]] = None):
+        """Write an atomic checkpoint of this service — one file at
+        ``path`` for either topology — and return the published path."""
+        from repro.online.recovery import save_checkpoint
+
+        return save_checkpoint(self, path, extra=extra)
+
+    @classmethod
+    def restore(cls, source, **kwargs):
+        """Rebuild a service from a checkpoint path (or loaded object).
+
+        The restored service continues the stream verdict-identically
+        under the topology the checkpoint records; see
+        :func:`repro.online.recovery.restore_service` for ``kwargs``.
+        """
+        from repro.online.recovery import restore_service
+
+        return restore_service(source, **kwargs)
+
+    def _front_state(self) -> Dict[str, object]:
+        """The front-door half of a checkpoint."""
+        return {
+            "tick": self._tick,
+            "applied_since_tick": self._applied_since_tick,
+            "stats": self.stats.as_dict(),
+            "rejected": dict(self.rejected),
+            "queue": list(self._queue),
+            "bank": self._bank,
+            "last_detection": self._last_detection,
+        }
+
+    def _load_front_state(self, ckpt) -> None:
+        """Reinstate :meth:`_front_state` from a loaded checkpoint."""
+        self._tick = int(ckpt.tick)
+        self._applied_since_tick = int(ckpt.applied_since_tick)
+        for name, value in ckpt.stats.items():
+            setattr(self.stats, name, value)
+        self.rejected = dict(ckpt.rejected)
+        self._queue.extend(ckpt.queue)
+        self._bank = ckpt.bank
+        self._last_detection = ckpt.last_detection
 
     # ------------------------------------------------------------------
     # Ingest
@@ -846,21 +893,6 @@ class OnlineCharacterizationService(_FrontDoor):
             detector, detection, np.asarray(initial_positions, dtype=float)
         )
 
-    @classmethod
-    def _from_store(
-        cls,
-        store: DeviceStateStore,
-        config: ServiceConfig,
-        *,
-        engine: Optional[CharacterizationEngine] = None,
-        sinks: Iterable[Callable[["OnlineTick"], None]] = (),
-        tracer: Optional[Tracer] = None,
-    ) -> "OnlineCharacterizationService":
-        """A service around an already-built store (the restore path)."""
-        service = cls.__new__(cls)
-        service._setup(store, config, engine=engine, sinks=sinks, tracer=tracer)
-        return service
-
     def _setup(
         self,
         store: DeviceStateStore,
@@ -1023,36 +1055,31 @@ class OnlineCharacterizationService(_FrontDoor):
         if self._owns_engine:
             self._engine.close()
 
-    def checkpoint(self, path, *, extra: Optional[Dict[str, object]] = None):
-        """Write an atomic checkpoint of this service to ``path``.
-
-        See :mod:`repro.online.recovery` for the format; returns the
-        published path.
-        """
-        from repro.online.recovery import save_checkpoint
-
-        return save_checkpoint(self, path, extra=extra)
+    def _checkpoint_parts(self):
+        """``(topology_shards, parts)``: the single service is one part."""
+        return 0, [(self._store.state(), self._tracker.state(), self._verdicts)]
 
     @classmethod
-    def restore(
+    def _from_parts(
         cls,
-        source,
+        parts,
+        config: ServiceConfig,
         *,
-        config=None,
         engine: Optional[CharacterizationEngine] = None,
         sinks: Iterable[Callable[["OnlineTick"], None]] = (),
         tracer: Optional[Tracer] = None,
     ) -> "OnlineCharacterizationService":
-        """Rebuild a service from a checkpoint path (or loaded object).
-
-        The restored service continues the stream verdict-identically;
-        see :func:`repro.online.recovery.restore_service`.
-        """
-        from repro.online.recovery import restore_service
-
-        return restore_service(
-            source, config=config, engine=engine, sinks=sinks, tracer=tracer
-        )
+        """A service around the one part of a single-service checkpoint;
+        the cross-tick perf caches start cold."""
+        ((store_state, tracker_state, verdicts),) = parts
+        store = DeviceStateStore.from_state(store_state)
+        service = cls.__new__(cls)
+        service._setup(store, config, engine=engine, sinks=sinks, tracer=tracer)
+        service._tracker.restore_state(tracker_state)
+        service._verdicts = dict(verdicts)
+        rows = np.nonzero(store.verdict_codes() != NO_VERDICT)[0]
+        service._verdict_rows = rows if rows.size else None
+        return service
 
     # ------------------------------------------------------------------
     # Ingest

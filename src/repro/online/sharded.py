@@ -1090,32 +1090,50 @@ class ShardedService(_FrontDoor):
             unlink_by_name(name)
         self._orphans = []
 
-    def checkpoint(self, directory, *, extra=None):
-        """Write one consistent-cut sharded checkpoint under ``directory``."""
-        from repro.online.recovery import save_sharded_checkpoint
-
-        return save_sharded_checkpoint(self, directory, extra=extra)
+    def _checkpoint_parts(self):
+        """``(topology_shards, parts)``: one part per shard."""
+        return self.n_shards, self.shard_states()
 
     @classmethod
-    def restore(cls, source, **kwargs) -> "ShardedService":
-        """Rebuild a sharded service from a checkpoint manifest."""
-        from repro.online.recovery import restore_sharded_service
-
-        return restore_sharded_service(source, **kwargs)
+    def _from_parts(
+        cls,
+        parts,
+        config: ServiceConfig,
+        *,
+        sinks: Iterable[Callable[[OnlineTick], None]] = (),
+        tracer: Optional[Tracer] = None,
+        topology_workers: str = "thread",
+    ) -> "ShardedService":
+        """A ``len(parts)``-shard service around a checkpoint's parts."""
+        dim = int(np.asarray(parts[0][0]["cur"]).shape[1])
+        service = cls(
+            np.zeros((1, dim)),
+            config,
+            topology_shards=len(parts),
+            sinks=sinks,
+            tracer=tracer,
+            topology_workers=topology_workers,
+        )
+        try:
+            service.load_shard_states(parts)
+        except BaseException:
+            service.close()
+            raise
+        return service
 
     def shard_states(self) -> List[Tuple[Dict, Dict, Dict]]:
         """Per-shard ``(store_state, tracker_state, verdict_cache)``.
 
-        The sharded checkpoint's consistent cut, topology-agnostic: the
-        ``state`` command first rolls any deferred tick advance, so the
-        captured states are those of the completed tick.
+        A checkpoint's parts, topology-agnostic: the ``state`` command
+        first rolls any deferred tick advance, so the captured states
+        are those of the completed tick.
         """
         return self._phase(
             [("state", self._tick, {}) for _ in range(self._map.n_shards)]
         )
 
     def load_shard_states(self, parts) -> None:
-        """Reinstate per-shard states from checkpoint parts, in shard order.
+        """Reinstate :meth:`shard_states` output, in shard order.
 
         Stores, trackers and verdict caches are reinstated exactly;
         cross-tick perf caches start cold.  The device→shard owner map
@@ -1124,13 +1142,8 @@ class ShardedService(_FrontDoor):
         positions — so no post-restore roundtrip is needed.
         """
         owner: Dict[int, int] = {}
-        for shard, part in enumerate(parts):
-            if int(part.shard) != shard:
-                raise ConfigurationError(
-                    f"shard part order mismatch: slot {shard} got part "
-                    f"{part.shard}"
-                )
-            ids = np.asarray(part.store_state["id_of"])
+        for shard, (store_state, _, _) in enumerate(parts):
+            ids = np.asarray(store_state["id_of"])
             for device in ids[ids >= 0].tolist():
                 owner[int(device)] = shard
         self._phase(
@@ -1138,13 +1151,9 @@ class ShardedService(_FrontDoor):
                 (
                     "restore",
                     0,
-                    {
-                        "store": part.store_state,
-                        "tracker": part.tracker_state,
-                        "verdicts": part.verdicts,
-                    },
+                    {"store": store, "tracker": tracker, "verdicts": verdicts},
                 )
-                for part in parts
+                for store, tracker, verdicts in parts
             ]
         )
         self._owner = owner

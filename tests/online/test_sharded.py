@@ -9,7 +9,7 @@ witnesses.  The suites below check that contract on adversarial
 streams (boundary-ring clusters, corner cells shared by four shards,
 movers crossing shards mid-tick, churn with id recycling) plus the
 :class:`~repro.online.sharded.ShardMap` tiling algebra and the
-per-shard consistent-cut checkpoint round trip.
+one-file checkpoint round trip (one part per shard).
 """
 
 from __future__ import annotations
@@ -28,19 +28,19 @@ from repro.core.errors import (
     DimensionMismatchError,
 )
 from repro.online import (
+    CheckpointWriter,
     OnlineCharacterizationService,
     QosUpdate,
     ServiceConfig,
     ShardMap,
-    ShardedCheckpointWriter,
     ShardedService,
-    latest_sharded_checkpoint,
-    list_sharded_checkpoints,
-    load_sharded_checkpoint,
-    prune_sharded_checkpoints,
-    restore_sharded_service,
-    save_sharded_checkpoint,
-    sharded_manifest_path,
+    checkpoint_path,
+    latest_checkpoint,
+    list_checkpoints,
+    load_checkpoint,
+    prune_checkpoints,
+    restore_service,
+    save_checkpoint,
 )
 
 CFG = ServiceConfig(r=0.05, tau=2)
@@ -515,7 +515,7 @@ class TestShardedRecovery:
         # Interrupted run: checkpoint every 2 ticks, "crash" after 5.
         pos, flags = base.copy(), flags0.copy()
         svc = ShardedService(pos.copy(), CFG, topology_shards=4)
-        writer = ShardedCheckpointWriter(svc, tmp_path, every=2, keep=3)
+        writer = CheckpointWriter(svc, tmp_path, every=2, keep=3)
         svc.add_sink(writer)
         r = np.random.default_rng(99)
         first = self._run_stream(svc, r, pos, flags, 5)
@@ -523,9 +523,9 @@ class TestShardedRecovery:
         for want, got in zip(ref_out[:5], first):
             assert_same_tick(want, got)
 
-        manifest = latest_sharded_checkpoint(tmp_path)
-        assert manifest is not None
-        restored = restore_sharded_service(manifest)
+        latest = latest_checkpoint(tmp_path)
+        assert latest is not None
+        restored = restore_service(latest)
         try:
             assert restored.current_tick == 4
             # Replay tick 5 (lost after the checkpoint), then continue.
@@ -553,13 +553,14 @@ class TestShardedRecovery:
         flags = np.zeros(24, dtype=bool)
         with ShardedService(positions.copy(), CFG, topology_shards=4) as svc:
             self._run_stream(svc, rng, positions, flags, 3)
-            path = svc.checkpoint(tmp_path)
+            path = svc.checkpoint(tmp_path / "ck.npz")
             want_verdicts = svc.verdicts
             want_sizes = svc.shard_sizes()
-        ckpt = load_sharded_checkpoint(path)
+        ckpt = load_checkpoint(path)
         assert ckpt.tick == 3
         assert ckpt.topology_shards == 4
-        restored = restore_sharded_service(ckpt)
+        assert len(ckpt.parts) == 4
+        restored = restore_service(ckpt)
         try:
             assert restored.current_tick == 3
             assert restored.shard_sizes() == want_sizes
@@ -571,54 +572,35 @@ class TestShardedRecovery:
         finally:
             restored.close()
 
-    def test_torn_cut_is_rejected(self, tmp_path):
-        rng = np.random.default_rng(41)
-        positions = rng.random((16, 2))
-        with ShardedService(positions.copy(), CFG, topology_shards=2) as svc:
-            svc.feed_snapshot(positions, np.zeros(16, dtype=bool))
-            path = svc.checkpoint(tmp_path)
-        # A missing shard part means the cut is incomplete.
-        parts = sorted(tmp_path.glob("shard-*/part-*.npz"))
-        assert parts
-        parts[0].unlink()
-        with pytest.raises(CheckpointError):
-            load_sharded_checkpoint(path)
-
     def test_legacy_placed_part_is_rejected(self, tmp_path):
         positions = np.random.default_rng(43).random((16, 2))
         with ShardedService(positions.copy(), CFG, topology_shards=2) as svc:
-            path = svc.checkpoint(tmp_path)
-        part = sorted(tmp_path.glob("shard-*/part-*.npz"))[-1]
-        with np.load(part) as data:
+            path = svc.checkpoint(tmp_path / "ck.npz")
+        with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
-        arrays["store_shard_hash"] = np.str_("legacy")
-        np.savez_compressed(part, **arrays)
+        arrays["part1_store_shard_hash"] = np.str_("legacy")
+        np.savez_compressed(path, **arrays)
         with pytest.raises(CheckpointError, match="'legacy' cell hash"):
-            load_sharded_checkpoint(path)
+            load_checkpoint(path)
 
     def test_list_latest_and_prune(self, tmp_path):
         rng = np.random.default_rng(51)
         positions = rng.random((12, 2))
         with ShardedService(positions.copy(), CFG, topology_shards=2) as svc:
             flags = np.zeros(12, dtype=bool)
-            for _ in range(4):
+            for tick in range(1, 5):
                 svc.feed_snapshot(positions, flags)
-                save_sharded_checkpoint(svc, tmp_path)
-        manifests = list_sharded_checkpoints(tmp_path)
-        assert len(manifests) == 4
-        assert latest_sharded_checkpoint(tmp_path) == manifests[-1]
-        assert (
-            latest_sharded_checkpoint(tmp_path)
-            == sharded_manifest_path(tmp_path, 4)
-        )
-        removed = prune_sharded_checkpoints(tmp_path, keep=2)
+                save_checkpoint(svc, checkpoint_path(tmp_path, tick))
+        found = list_checkpoints(tmp_path)
+        assert len(found) == 4
+        assert latest_checkpoint(tmp_path) == found[-1]
+        assert latest_checkpoint(tmp_path) == checkpoint_path(tmp_path, 4)
+        removed = prune_checkpoints(tmp_path, keep=2)
         assert removed == 2
-        left = list_sharded_checkpoints(tmp_path)
+        left = list_checkpoints(tmp_path)
         assert len(left) == 2
-        # Pruning removes the shard parts too, not just manifests.
-        ticks_left = {int(p.stem.split("-")[1]) for p in left}
-        for part in tmp_path.glob("shard-*/part-*.npz"):
-            assert int(part.stem.split("-")[1]) in ticks_left
+        # A checkpoint is one file: pruning leaves nothing else behind.
+        assert sorted(tmp_path.iterdir()) == left
 
 
 class TestProcessTopology:
@@ -784,15 +766,13 @@ class TestProcessTopology:
                 )
                 flags[movers] = rng.random(10) < 0.5
                 history.append(svc.feed_snapshot(pos, flags))
-            path = svc.checkpoint(tmp_path)
+            path = svc.checkpoint(tmp_path / "ck.npz")
             want = svc.verdicts
             sizes = svc.shard_sizes()
         finally:
             svc.close()
         for workers in TOPOLOGIES:
-            restored = restore_sharded_service(
-                path, topology_workers=workers
-            )
+            restored = restore_service(path, topology_workers=workers)
             try:
                 assert restored.topology_workers == workers
                 assert restored.current_tick == 3

@@ -437,3 +437,115 @@ class TestDeclaredEnvironment:
         )
         assert proc.returncode == 0, proc.stderr
         assert "serve without scipy OK" in proc.stdout
+
+
+def _tick_rows(out):
+    """The per-tick table rows of a serve/replay printout, by tick."""
+    rows = {}
+    for line in out.splitlines():
+        fields = line.split()
+        if len(fields) == 6 and all(f.isdigit() for f in fields):
+            rows[int(fields[0])] = tuple(int(f) for f in fields)
+    return rows
+
+
+def _device_ticks(out):
+    import ast
+
+    for line in out.splitlines():
+        if line.startswith("verdict device-ticks: "):
+            return ast.literal_eval(line.split(": ", 1)[1])
+    raise AssertionError("no verdict device-ticks line")
+
+
+#: (topology that writes the checkpoint, topology flag of the restart).
+RESTARTS = [(0, 0), (2, 2), (0, 2), (2, 0)]
+
+
+class TestCheckpointResume:
+    """A run split by a restart over one ``--checkpoint-dir`` prints what
+    the uninterrupted run prints, under the topology the checkpoint
+    records — whatever ``--topology-shards`` the restart passes."""
+
+    # --min-shard-devices 0 keeps small fleets from collapsing to 1 shard.
+    SERVE = ["serve", "--devices", "300", "--seed", "7", "--churn", "0.05",
+             "--flag-rate", "0.3", "--min-shard-devices", "0"]
+
+    def _run(self, capsys, argv):
+        assert main(argv) == 0
+        return capsys.readouterr()
+
+    def _check_resume(self, err, first, second):
+        assert "resuming from" in err
+        note = f"records --topology-shards {first}; resuming that topology"
+        assert (note in err) == (first != second)
+
+    @pytest.mark.parametrize("first,second", RESTARTS)
+    def test_serve_split_by_restart_matches_uninterrupted(
+        self, tmp_path, capsys, first, second
+    ):
+        full = self._run(
+            capsys,
+            self.SERVE + ["--ticks", "10", "--topology-shards", str(first)],
+        ).out
+        ck = str(tmp_path / "ck")
+        head = self._run(
+            capsys,
+            self.SERVE + ["--ticks", "4", "--topology-shards", str(first),
+                          "--checkpoint-dir", ck],
+        ).out
+        tail = self._run(
+            capsys,
+            self.SERVE + ["--ticks", "10", "--topology-shards", str(second),
+                          "--checkpoint-dir", ck],
+        )
+        self._check_resume(tail.err, first, second)
+        assert sorted(_tick_rows(tail.out)) == list(range(5, 11))
+        assert {**_tick_rows(head), **_tick_rows(tail.out)} == _tick_rows(full)
+        # Device-ticks add up across the restart.  (Verdict *events* do
+        # not: a fresh process counts every carried verdict as new.)
+        want = _device_ticks(full)
+        assert sum(want.values()) > 0
+        split = {
+            kind: _device_ticks(head)[kind] + _device_ticks(tail.out)[kind]
+            for kind in want
+        }
+        assert split == want
+
+    @pytest.mark.parametrize("first,second", RESTARTS)
+    def test_replay_split_by_restart_matches_uninterrupted(
+        self, tmp_path, capsys, first, second
+    ):
+        from repro.io.synthetic import Incident, TraceConfig, generate_trace
+        from repro.io.traces import write_trace
+
+        trace = generate_trace(
+            TraceConfig(devices=40, services=2, steps=12, seed=3),
+            [
+                Incident(start=3, duration=2, devices=tuple(range(5)),
+                         service=0, drop=0.3),
+                Incident(start=8, duration=2, devices=(39,), service=0,
+                         drop=0.4),
+            ],
+        )
+        full_path, head_path = tmp_path / "full.jsonl", tmp_path / "head.jsonl"
+        full_path.write_text(write_trace(trace))
+        # The "killed" run only saw the first 6 snapshots (ticks 1-5).
+        head_path.write_text(write_trace(trace[:6]))
+
+        def replay(path, topology, *ck):
+            return self._run(
+                capsys,
+                ["replay", "--trace", str(path), "--topology-shards",
+                 str(topology), "--min-shard-devices", "0", *ck],
+            )
+
+        full = replay(full_path, first).out
+        ck = ("--checkpoint-dir", str(tmp_path / "ck"))
+        head = replay(head_path, first, *ck).out
+        tail = replay(full_path, second, *ck)
+        self._check_resume(tail.err, first, second)
+        assert sorted(_tick_rows(tail.out)) == list(range(6, 12))
+        rows = _tick_rows(full)
+        assert sum(row[2] for row in rows.values()) > 0
+        assert {**_tick_rows(head), **_tick_rows(tail.out)} == rows
